@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from math import lcm
+from typing import Iterable, Union
 
 # All exact scalars in the package are Fractions: stored in lowest terms
 # with a positive denominator, with exact +, -, *, / and comparisons.
@@ -27,6 +28,8 @@ def as_rational(value: RationalLike) -> Rational:
     Floats carry binary rounding noise that would silently poison exact
     geometry, so they are not accepted anywhere in the kernel.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(f"refusing to coerce float {value!r} to an exact rational")
     return Fraction(value)
@@ -151,28 +154,26 @@ class PiecewiseLinearProfile:
         return v0 + (v1 - v0) * (y - y0) / (y1 - y0)
 
 
-def _tree_sum(terms: Sequence[Rational]) -> Rational:
-    """Pairwise reduction; keeps intermediate denominators balanced."""
-    items = list(terms)
-    if not items:
-        return Fraction(0)
-    while len(items) > 1:
-        items = [
-            items[i] + items[i + 1] if i + 1 < len(items) else items[i]
-            for i in range(0, len(items), 2)
-        ]
-    return items[0]
-
-
 def integrate_plp(profile: PiecewiseLinearProfile) -> Rational:
     """Exact integral over [0, 1] of a piecewise-linear profile.
 
     Per segment the trapezoid term (y1 - y0)(v0 + v1)/2 is exact because
-    the function is linear there; the segment terms are summed pairwise.
+    the function is linear there.  Ordinates and values are scaled to
+    integers over their common denominators Y and V, the segment terms are
+    summed as plain integers, and the sum over 2*Y*V is the one Fraction
+    built.
     """
     pts = profile.breakpoints
-    terms = [
-        (y1 - y0) * (v0 + v1) / 2
-        for (y0, v0), (y1, v1) in zip(pts, pts[1:])
-    ]
-    return _tree_sum(terms)
+    y_den = v_den = 1
+    for y, v in pts:
+        y_den = lcm(y_den, y.denominator)
+        v_den = lcm(v_den, v.denominator)
+    total = 0
+    y0 = v0 = None
+    for y, v in pts:
+        y1 = y.numerator * (y_den // y.denominator)
+        v1 = v.numerator * (v_den // v.denominator)
+        if y0 is not None:
+            total += (y1 - y0) * (v0 + v1)
+        y0, v0 = y1, v1
+    return Fraction(total, 2 * y_den * v_den)

@@ -1,11 +1,12 @@
 """Minimum trapezoid measure over permutations: exact and heuristic search.
 
 The exact path enumerates all n! pairings (optionally one representative
-per four-element symmetry class), splitting the lexicographic rank space
-statically across worker processes; reductions are ordered, so results
-are identical for any worker count.  The heuristic path is a seeded
-first-improvement descent over adjacent transpositions with random
-restarts, reporting an upper bound.
+per four-element symmetry class).  With several workers it cuts the
+lexicographic rank space into many small contiguous ranges, about 32 per
+worker, that a process pool hands out as workers free up; the reduction
+runs in rank order, so results are identical for any worker count.  The
+heuristic path is a seeded first-improvement descent over adjacent
+transpositions with random restarts, reporting an upper bound.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ from .trapezoid import TrapezoidSpec, area
 EXHAUSTIVE_GUARD = 10
 
 WORKERS_ENV_VAR = "TRAPMEASURE_THREADS"
+
+# contiguous rank ranges per worker in a parallel exhaustive search
+RANGES_PER_WORKER = 32
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -114,16 +118,17 @@ def alpha_exhaustive(
     worker_count = resolve_workers(workers)
     total = math.factorial(n)
     worker_count = min(worker_count, total)
-    bounds = [total * i // worker_count for i in range(worker_count + 1)]
-    jobs = [
-        (n, bounds[i], bounds[i + 1], use_symmetry)
-        for i in range(worker_count)
-        if bounds[i] < bounds[i + 1]
-    ]
-    if len(jobs) <= 1:
-        results = [_range_champion(job) for job in jobs]
+    if worker_count == 1:
+        results = [_range_champion((n, 0, total, use_symmetry))]
     else:
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+        # symmetry pruning keeps far more of the low ranks, so many small
+        # ranges handed out on demand balance the load across workers
+        ranges = min(total, RANGES_PER_WORKER * worker_count)
+        jobs = [
+            (n, total * i // ranges, total * (i + 1) // ranges, use_symmetry)
+            for i in range(ranges)
+        ]
+        with ProcessPoolExecutor(max_workers=worker_count) as pool:
             results = list(pool.map(_range_champion, jobs))
     best_area: Fraction | None = None
     best_image: tuple[int, ...] | None = None

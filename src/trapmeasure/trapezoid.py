@@ -10,10 +10,14 @@ its exact integral.
 The sweep finds every height where two endpoint lines cross or come
 within one interval width of each other (the only places the measure's
 slope can change), evaluates the slice measure exactly there, and feeds
-the resulting profile to the exact trapezoid rule.  Endpoints at a fixed
-rational height y = p/q share the denominator n*q, so each evaluation is
-pure integer work; large instances run the same arithmetic through numpy
-int64 (bounds are checked: all intermediates stay far below 2^63).
+the resulting profile to the exact trapezoid rule, which sums integers
+over common denominators and builds a single Fraction.  Endpoints at a
+fixed rational height y = p/q share the denominator n*q, so each
+evaluation is pure integer work; large instances run the same arithmetic
+through numpy int64 (bounds are checked: all intermediates stay far below
+2^63).  Candidate heights are reduced p/q with q < 2n, so distinct ones
+differ by more than 1/(4n^2) and both paths sort them by float value,
+with a cross-multiplied check that the order is strict.
 """
 
 from __future__ import annotations
@@ -119,7 +123,12 @@ def _interior_breakpoints(n: int, disp: list[int]) -> tuple[list[int], list[int]
                     if 0 < p < q:
                         g = gcd(p, q)
                         cands.add((p // g, q // g))
-        ordered = sorted(cands, key=lambda pq: Fraction(*pq))
+        # distinct p/q with q < 2n differ by more than 1/(4n^2), far above
+        # double rounding, so the float sort is exact; the guard checks it
+        ordered = sorted(cands, key=lambda pq: pq[0] / pq[1])
+        for (p0, q0), (p1, q1) in zip(ordered, ordered[1:]):
+            if p0 * q1 >= p1 * q0:
+                raise AssertionError("breakpoint ordering lost exactness")
         return [p for p, _ in ordered], [q for _, q in ordered]
 
     d = np.asarray(disp, dtype=np.int64)

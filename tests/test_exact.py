@@ -178,3 +178,28 @@ class TestProfile:
         f, g = build(vals_f), build(vals_g)
         top = profile_pointwise_max(f, g)
         assert integrate_plp(top) >= max(integrate_plp(f), integrate_plp(g))
+
+    @given(
+        st.lists(
+            st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+            min_size=0,
+            max_size=38,
+            unique=True,
+        ),
+        st.lists(
+            st.fractions(min_value=-10, max_value=10, max_denominator=10**6),
+            min_size=40,
+            max_size=40,
+        ),
+    )
+    def test_integer_sum_matches_per_segment_fractions(self, inner, vals):
+        ys = [F(0)] + sorted(y for y in inner if 0 < y < 1) + [F(1)]
+        pts = tuple(zip(ys, vals))
+        # the per-segment Fraction sum is the reference formula
+        expected = sum(
+            ((y1 - y0) * (v0 + v1) / 2 for (y0, v0), (y1, v1) in zip(pts, pts[1:])),
+            F(0),
+        )
+        result = integrate_plp(PiecewiseLinearProfile(pts))
+        assert type(result) is Fraction
+        assert result == expected

@@ -77,6 +77,17 @@ class TestExhaustive:
         assert single.argmin == split.argmin
         assert single.perms_evaluated == split.perms_evaluated
 
+    def test_range_split_independent_of_worker_count(self):
+        records = [alpha_exhaustive(7, workers=w) for w in (1, 2, 5)]
+        for record in records[1:]:
+            assert record.alpha == records[0].alpha
+            assert record.argmin == records[0].argmin
+            assert record.perms_evaluated == records[0].perms_evaluated
+
+    def test_ranges_tile_rank_space_once(self):
+        record = alpha_exhaustive(6, use_symmetry=False, workers=4)
+        assert record.perms_evaluated == 720
+
     def test_never_beaten_by_named_specs(self):
         for n in (2, 3, 4, 5):
             record = alpha_exhaustive(n, workers=1)

@@ -13,6 +13,7 @@ from trapmeasure.permutations import (
     identity,
     reversal,
 )
+from trapmeasure import trapezoid
 from trapmeasure.trapezoid import (
     Parallelogram,
     TrapezoidSpec,
@@ -179,13 +180,11 @@ class TestArea:
                 assert area(TrapezoidSpec(n, p.mirrored())) == base
 
 
-def area_reference(image):
-    """Independent pure-Fraction sweep, structured separately from the
-    production path (no integer scaling, no numpy)."""
+def interior_heights_reference(image):
+    """Every interior candidate height, as a sorted list of Fractions."""
     n = len(image)
-    spec = spec_of(image)
     disp = [image[j] - (j + 1) for j in range(n)]
-    heights = {F(0), F(1)}
+    heights = set()
     for i in range(n):
         for j in range(i + 1, n):
             dd = disp[i] - disp[j]
@@ -194,9 +193,32 @@ def area_reference(image):
                     y = F(num, dd)
                     if 0 < y < 1:
                         heights.add(y)
-    ys = sorted(heights)
+    return sorted(heights)
+
+
+def area_reference(image):
+    """Independent pure-Fraction sweep, structured separately from the
+    production path (no integer scaling, no numpy)."""
+    spec = spec_of(image)
+    ys = [F(0)] + interior_heights_reference(image) + [F(1)]
     vs = [measure(slice_at(spec, y)) for y in ys]
     return sum((b - a) * (va + vb) / 2 for a, b, va, vb in zip(ys, ys[1:], vs, vs[1:]))
+
+
+class TestInteriorBreakpoints:
+    @pytest.mark.parametrize("cutoff", [0, 10**9], ids=["numpy", "python"])
+    def test_paths_agree_with_fraction_sort(self, monkeypatch, cutoff):
+        monkeypatch.setattr(trapezoid, "_VECTOR_CUTOFF", cutoff)
+        rng = random.Random(11)
+        for n in [1, 2, 3, 7, 16, 33, 48, 49, 60] + [rng.randint(1, 60) for _ in range(12)]:
+            image = list(range(1, n + 1))
+            rng.shuffle(image)
+            spec = spec_of(image)
+            nums, dens = trapezoid._interior_breakpoints(n, trapezoid._displacements(spec))
+            # distinct Fractions, sorted: strictly increasing and reduced
+            ordered = interior_heights_reference(image)
+            assert nums == [y.numerator for y in ordered]
+            assert dens == [y.denominator for y in ordered]
 
 
 class TestAreaCrossValidation:
