@@ -5,7 +5,10 @@ each x_k drawn from a fixed triple of rationals in [0, 2]; attaching an
 interval of width 3^-n to every sum gives the n-th stage of a modified
 Cantor construction.  Two digit triples matter most: {0, 1, t} gives the
 partial modified Cantor set, and {0, 1+t, 2-t} gives the horizontal slice
-of the depth-n digit-swap trapezoid at height t.
+of the depth-n digit-swap trapezoid at height t.  ``partial_cantor``
+builds each stage level by level, in exact integers, as the union of the
+previous stage's merged parts shifted by each digit and scaled by 1/3, so
+it never enumerates the 3^n sums.
 
 The limit measures have closed forms driven by a mod-3 condition on the
 lowest-terms representation of the parameter; those are implemented as
@@ -72,15 +75,27 @@ def anchor_points(spec: DigitSetSpec) -> tuple[Rational, ...]:
 
 
 def partial_cantor(spec: DigitSetSpec) -> IntervalUnion:
-    """Union of [x, x + 3^-depth] over all anchors, canonical."""
-    ints, scale = _anchor_ints(spec)
-    width = scale // 3**spec.depth  # 3^-depth over the common denominator
-    merged: list[list[int]] = []
-    for a in ints:
-        if merged and a <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], a + width)
-        else:
-            merged.append([a, a + width])
+    """Union of [x, x + 3^-depth] over all anchors, canonical.
+
+    Built level by level from C_0 = [0, 1] and C_k = U_d (d + C_(k-1)) / 3:
+    the parts of C_(k-1), as integers over q * 3^(k-1), shifted by each
+    digit's d * q * 3^(k-1) are the parts of C_k over q * 3^k, which are
+    sorted and merged where they touch.  Only merged parts are ever held,
+    never the 3^depth anchors.
+    """
+    q = math.lcm(*(d.denominator for d in spec.digits))
+    digit_ints = sorted({int(d * q) for d in spec.digits})
+    merged = [[0, q]]
+    for k in range(spec.depth):
+        shifts = [d * 3**k for d in digit_ints]
+        shifted = sorted((lo + s, hi + s) for s in shifts for lo, hi in merged)
+        merged = []
+        for lo, hi in shifted:
+            if merged and lo <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], hi)
+            else:
+                merged.append([lo, hi])
+    scale = q * 3**spec.depth
     parts = tuple(Interval(Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in merged)
     return IntervalUnion(parts)
 

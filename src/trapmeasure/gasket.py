@@ -10,8 +10,11 @@ value, which decays as the depth grows.
 Directions come in two flavours: an exact rational slope, for which the
 projected set is computed entirely in rational arithmetic up to a single
 cosine rescale, and a floating angle, for which endpoints are doubles
-merged with a depth-scaled tolerance.  The exact mode exists to anchor
-the numeric one.
+merged with a depth-scaled tolerance.  In angle mode every triangle's
+interval is its projected anchor plus one fixed offset pair, so a single
+sort of the anchors orders both endpoint arrays and the parts are cut
+wherever a gap exceeds the tolerance, with no per-triangle loop.  The
+exact mode exists to anchor the numeric one.
 """
 
 from __future__ import annotations
@@ -132,7 +135,7 @@ def project(spec: GasketSpec, direction: Direction) -> ExactProjection | Numeric
     """Projection of the partial gasket onto a line with the direction."""
     if direction.slope is not None:
         return _project_exact(spec, direction.slope)
-    return _project_numeric(spec, direction.angle)
+    return _project_numeric(_anchor_array(spec.depth), spec.depth, direction.angle)
 
 
 def _project_exact(spec: GasketSpec, slope: Fraction) -> ExactProjection:
@@ -145,42 +148,21 @@ def _project_exact(spec: GasketSpec, slope: Fraction) -> ExactProjection:
     return ExactProjection(scaled_set=normalize(parts), cosine=cosine)
 
 
-def _merged_measure(lo: np.ndarray, hi: np.ndarray, tol: float) -> tuple[list[tuple[float, float]], float]:
-    order = np.argsort(lo, kind="stable")
-    lo, hi = lo[order], hi[order]
-    parts: list[tuple[float, float]] = []
-    cur_lo, cur_hi = float(lo[0]), float(hi[0])
-    for L, H in zip(lo[1:], hi[1:]):
-        if L <= cur_hi + tol:
-            if H > cur_hi:
-                cur_hi = float(H)
-        else:
-            parts.append((cur_lo, cur_hi))
-            cur_lo, cur_hi = float(L), float(H)
-    parts.append((cur_lo, cur_hi))
-    return parts, math.fsum(b - a for a, b in parts)
-
-
-def _projected_endpoints(pts: np.ndarray, depth: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
+def _project_numeric(pts: np.ndarray, depth: int, theta: float) -> NumericProjection:
+    # Triangle i projects to [b_i + m, b_i + M] with b_i its projected anchor.
+    # Rounding is monotone and fl(b + 0) = b, so these equal the corner
+    # min/max bit for bit, and sorting b sorts both endpoint arrays: hi is
+    # non-decreasing and a part ends wherever the next lo clears hi + tol.
     c, s = math.cos(theta), math.sin(theta)
     w = 3.0**-depth
-    base = pts[:, 0] * c + pts[:, 1] * s
-    corners = np.stack([base, base + c * w, base + s * w], axis=1)
-    return corners.min(axis=1), corners.max(axis=1)
-
-
-def _project_numeric(spec: GasketSpec, theta: float) -> NumericProjection:
-    pts = _anchor_array(spec.depth)
-    lo, hi = _projected_endpoints(pts, spec.depth, theta)
-    tol = 1e-12 * 3**spec.depth
-    parts, total = _merged_measure(lo, hi, tol)
-    return NumericProjection(parts=tuple(parts), measure=total)
-
-
-def _numeric_measure(pts: np.ndarray, depth: int, theta: float) -> float:
-    lo, hi = _projected_endpoints(pts, depth, theta)
-    _, total = _merged_measure(lo, hi, 1e-12 * 3**depth)
-    return total
+    base = np.sort(pts[:, 0] * c + pts[:, 1] * s)
+    lo = base + min(0.0, c * w, s * w)
+    hi = base + max(0.0, c * w, s * w)
+    gaps = np.flatnonzero(lo[1:] > hi[:-1] + 1e-12 * 3**depth)
+    starts = lo[np.concatenate(([0], gaps + 1))]
+    ends = hi[np.concatenate((gaps, [len(hi) - 1]))]
+    parts = tuple(zip(starts.tolist(), ends.tolist()))
+    return NumericProjection(parts=parts, measure=math.fsum((ends - starts).tolist()))
 
 
 def favard(spec: GasketSpec, quad_points: int) -> float:
@@ -204,7 +186,7 @@ def favard(spec: GasketSpec, quad_points: int) -> float:
             rep = i
         multiplicity[rep] = multiplicity.get(rep, 0) + 1
     total = math.fsum(
-        _numeric_measure(pts, spec.depth, (rep + 0.5) * step) * count
+        _project_numeric(pts, spec.depth, (rep + 0.5) * step).measure * count
         for rep, count in sorted(multiplicity.items())
     )
     return total / quad_points
@@ -243,7 +225,7 @@ def lemma1_check(
             raise ValueError(f"grid height {t} outside [0, 1]")
         lhs = slice_set(depth, t).measure
         phi = math.atan(float((2 - t) / (1 + t)))
-        rhs = float(1 + t) * _numeric_measure(pts, depth, phi)
+        rhs = float(1 + t) * _project_numeric(pts, depth, phi).measure
         ratio = float(lhs) / rhs if rhs else math.inf
         rows.append(
             SliceBoundRow(

@@ -13,7 +13,7 @@ from trapmeasure.cantor import (
     slice_measure_closed,
     slice_set,
 )
-from trapmeasure.exact import measure
+from trapmeasure.exact import Interval, measure, normalize
 from trapmeasure.permutations import digit_swap_permutation
 from trapmeasure.trapezoid import TrapezoidSpec, slice_at
 
@@ -86,6 +86,22 @@ class TestPartialCantor:
         shallow = measure(partial_cantor(DigitSetSpec(depth, digits)))
         deep = measure(partial_cantor(DigitSetSpec(depth + 1, digits)))
         assert deep <= shallow
+
+
+    @given(
+        st.integers(min_value=0, max_value=7),
+        st.tuples(
+            st.fractions(min_value=0, max_value=2, max_denominator=30),
+            st.fractions(min_value=0, max_value=2, max_denominator=30),
+            st.fractions(min_value=0, max_value=2, max_denominator=30),
+        ),
+    )
+    @settings(max_examples=60)
+    def test_level_by_level_union_equals_anchor_enumeration(self, depth, digits):
+        spec = DigitSetSpec(depth, digits)
+        width = F(1, 3**depth)
+        reference = normalize(Interval(a, a + width) for a in anchor_points(spec))
+        assert partial_cantor(spec) == reference
 
 
 class TestSliceSet:

@@ -6,6 +6,7 @@ import pytest
 from trapmeasure.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+BENCH_EXPECTED_DIR = Path(__file__).parent.parent / "benchmark" / "expected"
 
 GOLDEN_CASES = {
     "area_3_132.txt": (["area", "--n", "3", "--perm", "1,3,2"], 0),
@@ -77,6 +78,20 @@ def test_repeat_runs_byte_identical(name, capsys):
     main(argv)
     second = capsys.readouterr().out
     assert first == second
+
+
+FULL_SIZE_PINS = {
+    "favard_d8_q4096.txt": (["favard", "--depth", "8", "--quad-points", "4096"], 0),
+    "lemma1_d1-6_t11.csv": (["verify", "lemma1", "--depths", "1,2,3,4,5,6", "--t-points", "11"], 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FULL_SIZE_PINS))
+def test_full_size_gasket_outputs_match_benchmark_pins(name, capsys):
+    argv, expected_code = FULL_SIZE_PINS[name]
+    code = main(argv)
+    assert capsys.readouterr().out == (BENCH_EXPECTED_DIR / name).read_text()
+    assert code == expected_code
 
 
 class TestOutputRouting:

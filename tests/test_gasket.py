@@ -1,11 +1,14 @@
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from trapmeasure.gasket import (
     Direction,
     GasketSpec,
+    _anchor_array,
     decay_fit,
     favard,
     gasket_anchors,
@@ -101,6 +104,45 @@ class TestProjection:
         first = project(spec, Direction.from_angle(theta))
         second = project(spec, Direction.from_angle(theta))
         assert first == second
+
+
+def _reference_projection(depth, theta):
+    """Corner min/max per triangle, stable argsort, running-max merge."""
+    c, s = math.cos(theta), math.sin(theta)
+    w = 3.0**-depth
+    pts = _anchor_array(depth)
+    base = pts[:, 0] * c + pts[:, 1] * s
+    corners = np.stack([base, base + c * w, base + s * w], axis=1)
+    lo, hi = corners.min(axis=1), corners.max(axis=1)
+    tol = 1e-12 * 3**depth
+    order = np.argsort(lo, kind="stable")
+    lo, hi = lo[order], hi[order]
+    parts = []
+    cur_lo, cur_hi = float(lo[0]), float(hi[0])
+    for L, H in zip(lo[1:], hi[1:]):
+        if L <= cur_hi + tol:
+            if H > cur_hi:
+                cur_hi = float(H)
+        else:
+            parts.append((cur_lo, cur_hi))
+            cur_lo, cur_hi = float(L), float(H)
+    parts.append((cur_lo, cur_hi))
+    return tuple(parts), math.fsum(b - a for a, b in parts)
+
+
+class TestSortOnlyMerge:
+    @pytest.mark.parametrize("depth", range(9))
+    def test_parts_and_measure_equal_reference_merge(self, depth):
+        rng = random.Random(depth)
+        # the axes, both diagonals, and angles with cos(theta) < 0
+        fixed = [0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, 2.0, 3.0, math.nextafter(math.pi, 0)]
+        spec = GasketSpec(depth)
+        for theta in fixed + [rng.uniform(0.0, math.pi) for _ in range(24)]:
+            proj = project(spec, Direction.from_angle(theta))
+            parts, total = _reference_projection(depth, theta)
+            assert proj.parts == parts
+            assert proj.measure == total
+            assert all(type(x) is float for part in proj.parts for x in part)
 
 
 class TestFavard:
