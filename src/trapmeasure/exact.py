@@ -157,23 +157,18 @@ class PiecewiseLinearProfile:
 def integrate_plp(profile: PiecewiseLinearProfile) -> Rational:
     """Exact integral over [0, 1] of a piecewise-linear profile.
 
-    Per segment the trapezoid term (y1 - y0)(v0 + v1)/2 is exact because
-    the function is linear there.  Ordinates and values are scaled to
-    integers over their common denominators Y and V, the segment terms are
-    summed as plain integers, and the sum over 2*Y*V is the one Fraction
-    built.
+    The trapezoid rule, summed by parts, gives
+    1/2 * sum_k v_k (y_(k+1) - y_(k-1)) with y_(-1) = y_0 and y_K = y_(K-1).
+    Each term is a ratio of small integers; numerators are summed per
+    distinct denominator, and only those denominators are scaled to their
+    common multiple L, so the sum over 2L is the one Fraction built.
     """
     pts = profile.breakpoints
-    y_den = v_den = 1
-    for y, v in pts:
-        y_den = lcm(y_den, y.denominator)
-        v_den = lcm(v_den, v.denominator)
-    total = 0
-    y0 = v0 = None
-    for y, v in pts:
-        y1 = y.numerator * (y_den // y.denominator)
-        v1 = v.numerator * (v_den // v.denominator)
-        if y0 is not None:
-            total += (y1 - y0) * (v0 + v1)
-        y0, v0 = y1, v1
-    return Fraction(total, 2 * y_den * v_den)
+    ys = [y for y, _ in pts]
+    acc: dict[int, int] = {}
+    for y0, (_, v), y1 in zip([ys[0], *ys], pts, [*ys[1:], ys[-1]]):
+        b, e = y0.denominator, y1.denominator
+        den = v.denominator * b * e
+        acc[den] = acc.get(den, 0) + v.numerator * (y1.numerator * b - y0.numerator * e)
+    common = lcm(*acc)
+    return Fraction(sum(num * (common // den) for den, num in acc.items()), 2 * common)

@@ -10,14 +10,15 @@ its exact integral.
 The sweep finds every height where two endpoint lines cross or come
 within one interval width of each other (the only places the measure's
 slope can change), evaluates the slice measure exactly there, and feeds
-the resulting profile to the exact trapezoid rule, which sums integers
-over common denominators and builds a single Fraction.  Endpoints at a
-fixed rational height y = p/q share the denominator n*q, so each
-evaluation is pure integer work; large instances run the same arithmetic
-through numpy int64 (bounds are checked: all intermediates stay far below
-2^63).  Candidate heights are reduced p/q with q < 2n, so distinct ones
-differ by more than 1/(4n^2) and both paths sort them by float value,
-with a cross-multiplied check that the order is strict.
+the resulting profile to the exact trapezoid rule, summed by parts per
+distinct denominator into a single Fraction.  Endpoints at a fixed
+rational height y = p/q share the denominator n*q, so each evaluation is
+pure integer work; large instances run the same arithmetic through numpy
+in cache-sized blocks, in int32 when q*(n + max|d|) < 2^30 bounds every
+endpoint and gap, else in int64 (refused at 2^62).  Candidate heights
+are reduced p/q with q < 2n, so distinct ones differ by more than
+1/(4n^2) and both paths sort them by float value, with a cross-multiplied
+check that the order is strict.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ def _interior_breakpoints(n: int, disp: list[int]) -> tuple[list[int], list[int]
     # pair generation in row slabs keeps peak memory flat for large n;
     # duplicates across slabs collapse in the final unique pass
     key_chunks = []
-    rows_per_slab = max(1, 4_000_000 // n)
+    rows_per_slab = max(1, 131_072 // n)
     for start in range(0, n - 1, rows_per_slab):
         stop = min(n - 1, start + rows_per_slab)
         i_blk = np.repeat(np.arange(start, stop, dtype=np.int64), n - 1 - np.arange(start, stop))
@@ -186,22 +187,29 @@ def _slice_totals(n: int, disp: list[int], nums: list[int], dens: list[int]) -> 
             totals.append(tot)
         return totals
 
-    d = np.asarray(disp, dtype=np.int64)
-    col = np.arange(n, dtype=np.int64)
-    p_arr = np.asarray(nums, dtype=np.int64)
-    q_arr = np.asarray(dens, dtype=np.int64)
-    if int(q_arr.max()) * (n + int(np.abs(d).max())) >= 2**62:
+    # with 0 < p < q every endpoint j0*q + d*p has magnitude below the
+    # bound and every gap stays below twice it; int32 rows halve the bytes
+    # each sort moves
+    bound = max(dens) * (n + max(map(abs, disp)))
+    if bound >= 2**62:
         raise AssertionError("slice sweep would overflow int64")
+    dtype = np.int32 if 2 * bound < 2**31 else np.int64
+    d = np.asarray(disp, dtype=dtype)
+    col = np.arange(n, dtype=dtype)
+    p_arr = np.asarray(nums, dtype=dtype)[:, None]
+    q_arr = np.asarray(dens, dtype=dtype)[:, None]
     out = np.empty(len(nums), dtype=np.int64)
-    chunk = max(1, 4_000_000 // n)
+    # about 128k endpoints per chunk keeps each row block in cache
+    chunk = max(1, 131_072 // n)
     for s in range(0, len(nums), chunk):
         e = min(len(nums), s + chunk)
-        q = q_arr[s:e, None]
-        los = col[None, :] * q + d[None, :] * p_arr[s:e, None]
+        q = q_arr[s:e]
+        los = col * q
+        los += d * p_arr[s:e]
         los.sort(axis=1)
         gaps = np.diff(los, axis=1)
         np.minimum(gaps, q, out=gaps)
-        out[s:e] = gaps.sum(axis=1) + q[:, 0]
+        out[s:e] = gaps.sum(axis=1, dtype=np.int64) + q[:, 0]
     return out.tolist()
 
 

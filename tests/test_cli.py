@@ -94,6 +94,19 @@ def test_full_size_gasket_outputs_match_benchmark_pins(name, capsys):
     assert code == expected_code
 
 
+SWEEP_PINS = {
+    "sigma3_max_m_6.csv": ["sigma3", "--max-m", "6"],
+    "sigma_n_1000.json": ["sigma-n", "--n", "1000"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_PINS))
+def test_full_size_sweep_outputs_match_benchmark_pins(name, capsys):
+    code = main(SWEEP_PINS[name])
+    assert capsys.readouterr().out == (BENCH_EXPECTED_DIR / name).read_text()
+    assert code == 0
+
+
 class TestOutputRouting:
     def test_out_flag_writes_file(self, tmp_path, capsys):
         target = tmp_path / "area.txt"

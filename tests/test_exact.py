@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +13,8 @@ from trapmeasure.exact import (
     measure,
     normalize,
 )
+from trapmeasure.permutations import Permutation, composite_permutation, digit_swap_permutation
+from trapmeasure.trapezoid import TrapezoidSpec, slice_profile
 
 F = Fraction
 
@@ -203,3 +207,41 @@ class TestProfile:
         result = integrate_plp(PiecewiseLinearProfile(pts))
         assert type(result) is Fraction
         assert result == expected
+
+
+def integrate_plp_lcm_reference(profile):
+    """Trapezoid rule with ordinates and values scaled to integers over the
+    lcm of all their denominators, summed segment by segment."""
+    pts = profile.breakpoints
+    y_den = v_den = 1
+    for y, v in pts:
+        y_den = lcm(y_den, y.denominator)
+        v_den = lcm(v_den, v.denominator)
+    total = 0
+    y0 = v0 = None
+    for y, v in pts:
+        y1 = y.numerator * (y_den // y.denominator)
+        v1 = v.numerator * (v_den // v.denominator)
+        if y0 is not None:
+            total += (y1 - y0) * (v0 + v1)
+        y0, v0 = y1, v1
+    return Fraction(total, 2 * y_den * v_den)
+
+
+class TestIntegrationByParts:
+    @staticmethod
+    def profiles():
+        yield PiecewiseLinearProfile(((0, F(3, 7)), (1, F(5, 11))))
+        for m in range(6):
+            yield slice_profile(TrapezoidSpec(3**m, digit_swap_permutation(m)))
+        yield slice_profile(TrapezoidSpec(100, composite_permutation(100)))
+        rng = random.Random(5)
+        for _ in range(20):
+            n = rng.randint(1, 120)
+            image = list(range(1, n + 1))
+            rng.shuffle(image)
+            yield slice_profile(TrapezoidSpec(n, Permutation(tuple(image))))
+
+    def test_matches_lcm_scaled_trapezoid_sum(self):
+        for profile in self.profiles():
+            assert integrate_plp(profile) == integrate_plp_lcm_reference(profile)

@@ -221,6 +221,50 @@ class TestInteriorBreakpoints:
             assert dens == [y.denominator for y in ordered]
 
 
+def slice_totals_on_path(monkeypatch, cutoff, n, disp, nums, dens):
+    monkeypatch.setattr(trapezoid, "_VECTOR_CUTOFF", cutoff)
+    return trapezoid._slice_totals(n, disp, nums, dens)
+
+
+class TestSliceTotals:
+    @staticmethod
+    def specs():
+        rng = random.Random(23)
+        for _ in range(5):
+            n = rng.randint(49, 200)
+            image = list(range(1, n + 1))
+            rng.shuffle(image)
+            yield spec_of(image)
+        for m in (4, 5):
+            yield TrapezoidSpec(3**m, digit_swap_permutation(m))
+        yield TrapezoidSpec(60, identity(60))
+        yield TrapezoidSpec(60, reversal(60))
+
+    def test_numpy_path_matches_python_path(self, monkeypatch):
+        for spec in self.specs():
+            disp = trapezoid._displacements(spec)
+            nums, dens = trapezoid._interior_breakpoints(spec.n, disp)
+            args = (spec.n, disp, nums, dens)
+            numpy_totals = slice_totals_on_path(monkeypatch, 0, *args)
+            assert numpy_totals == slice_totals_on_path(monkeypatch, 10**9, *args)
+
+    @pytest.mark.parametrize("q", [2**23 - 1, 2**23, 2**23 + 3, 2**26])
+    def test_heights_around_the_int32_bound(self, monkeypatch, q):
+        # n = 65 with one transposition reaching |d| = 63: the numpy path
+        # picks int32 iff 2*q*(n + 63) = 2^8*q < 2^31, i.e. q < 2^23; at
+        # q = 2^26 the endpoints themselves pass 2^31
+        n = 65
+        image = list(range(1, n + 1))
+        image[0], image[63] = image[63], image[0]
+        disp = trapezoid._displacements(spec_of(image))
+        assert max(map(abs, disp)) == 63
+        nums = [1, q // 3, q // 2 + 1, q - 1]
+        dens = [q] * len(nums)
+        args = (n, disp, nums, dens)
+        numpy_totals = slice_totals_on_path(monkeypatch, 0, *args)
+        assert numpy_totals == slice_totals_on_path(monkeypatch, 10**9, *args)
+
+
 class TestAreaCrossValidation:
     def test_exhaustive_small_n(self):
         for n in range(1, 6):
