@@ -2,9 +2,10 @@
 integration of piecewise-linear profiles.
 
 Everything in this module is pure and immutable, and every number is an
-arbitrary-precision rational (``fractions.Fraction``).  No floating point
-enters any computation here; callers that want decimals convert at the
-boundary.
+exact rational: a ``fractions.Fraction``, or, inside a piecewise-linear
+profile, an integer numerator and denominator pair that is reduced to a
+``Fraction`` only when read.  No floating point enters any computation
+here; callers that want decimals convert at the boundary.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import lt, mul
 from typing import Iterable, Union
 
 # All exact scalars in the package are Fractions: stored in lowest terms
@@ -111,27 +113,86 @@ def measure(union: IntervalUnion) -> Rational:
     return union.measure
 
 
-@dataclass(frozen=True)
 class PiecewiseLinearProfile:
     """Continuous piecewise-linear function on [0, 1], given by breakpoints.
 
-    ``breakpoints`` is a sequence of (y, value) pairs with y strictly
-    increasing from exactly 0 to exactly 1.  Storing values (not slopes)
-    makes continuity structural and keeps the trapezoid rule exact.
+    Built either from a sequence of (y, value) pairs of exact rationals,
+    or from four integer columns ``(y_num, y_den, v_num, v_den)`` with
+    breakpoint k at (y_num[k]/y_den[k], v_num[k]/v_den[k]), fractions not
+    necessarily reduced.  Both forms store the columns and run the same
+    checks: at least two breakpoints, y strictly increasing from exactly 0
+    to exactly 1, positive denominators, integers only.  ``breakpoints``
+    is the tuple of reduced Fraction pairs, built on first read.  Storing
+    values (not slopes) makes continuity structural and keeps the
+    trapezoid rule exact.
     """
 
-    breakpoints: tuple[tuple[Rational, Rational], ...]
+    __slots__ = ("y_num", "y_den", "v_num", "v_den", "_breakpoints")
 
-    def __post_init__(self) -> None:
-        pts = tuple((as_rational(y), as_rational(v)) for y, v in self.breakpoints)
-        object.__setattr__(self, "breakpoints", pts)
-        if len(pts) < 2:
+    def __init__(self, *columns) -> None:
+        pts = None
+        if len(columns) == 1:
+            pts = tuple((as_rational(y), as_rational(v)) for y, v in columns[0])
+            columns = (
+                tuple(y.numerator for y, _ in pts),
+                tuple(y.denominator for y, _ in pts),
+                tuple(v.numerator for _, v in pts),
+                tuple(v.denominator for _, v in pts),
+            )
+        elif len(columns) != 4:
+            raise TypeError("expected (y, value) pairs or four integer columns")
+        y_num, y_den, v_num, v_den = columns = tuple(map(tuple, columns))
+        # a float, a Fraction or a numpy scalar anywhere makes a column's
+        # sum non-int, so this one C-level pass per column refuses them all
+        for col in columns:
+            if type(sum(col)) is not int:
+                raise TypeError("profile columns must hold Python ints only")
+        if not len(y_num) == len(y_den) == len(v_num) == len(v_den):
+            raise ValueError("profile columns differ in length")
+        if len(y_num) < 2:
             raise ValueError("profile needs at least the two endpoint breakpoints")
-        if pts[0][0] != 0 or pts[-1][0] != 1:
+        if min(y_den) <= 0 or min(v_den) <= 0:
+            raise ValueError("profile denominators must be positive")
+        if y_num[0] != 0 or y_num[-1] != y_den[-1]:
             raise ValueError("profile must span [0, 1] exactly")
-        for (y0, _), (y1, _) in zip(pts, pts[1:]):
-            if y0 >= y1:
-                raise ValueError(f"breakpoint ordinates must strictly increase: {y0} >= {y1}")
+        if not all(map(lt, map(mul, y_num, y_den[1:]), map(mul, y_num[1:], y_den))):
+            y0, y1 = next(
+                (Fraction(a, b), Fraction(c, d))
+                for a, b, c, d in zip(y_num, y_den, y_num[1:], y_den[1:])
+                if a * d >= c * b
+            )
+            raise ValueError(f"breakpoint ordinates must strictly increase: {y0} >= {y1}")
+        for name, value in zip(self.__slots__, (*columns, pts)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, which __setattr__ allows
+        return type(self), (self.y_num, self.y_den, self.v_num, self.v_den)
+
+    @property
+    def breakpoints(self) -> tuple[tuple[Rational, Rational], ...]:
+        if self._breakpoints is None:
+            pts = tuple(
+                (Fraction(p, q), Fraction(a, b))
+                for p, q, a, b in zip(self.y_num, self.y_den, self.v_num, self.v_den)
+            )
+            object.__setattr__(self, "_breakpoints", pts)
+        return self._breakpoints
+
+    def __eq__(self, other: object) -> bool:
+        # type(self): the benchmark's traced runs rebind the module-level name
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.breakpoints == other.breakpoints
+
+    def __hash__(self) -> int:
+        return hash(self.breakpoints)
+
+    def __repr__(self) -> str:
+        return f"PiecewiseLinearProfile({self.breakpoints!r})"
 
     def value_at(self, y: RationalLike) -> Rational:
         """Exact value at y by linear interpolation between breakpoints."""
@@ -159,16 +220,23 @@ def integrate_plp(profile: PiecewiseLinearProfile) -> Rational:
 
     The trapezoid rule, summed by parts, gives
     1/2 * sum_k v_k (y_(k+1) - y_(k-1)) with y_(-1) = y_0 and y_K = y_(K-1).
-    Each term is a ratio of small integers; numerators are summed per
-    distinct denominator, and only those denominators are scaled to their
-    common multiple L, so the sum over 2L is the one Fraction built.
+    With y_k = p_k/q_k and v_k = t_k/w_k, term k is the integer ratio
+    t_k (p_(k+1) q_(k-1) - p_(k-1) q_(k+1)) / (w_k q_(k-1) q_(k+1)), read
+    straight from the profile's integer columns.  Numerators are summed
+    per distinct denominator, and only those denominators are scaled to
+    their common multiple L, so the sum over 2L is the one Fraction built.
     """
-    pts = profile.breakpoints
-    ys = [y for y, _ in pts]
+    ps, qs = profile.y_num, profile.y_den
     acc: dict[int, int] = {}
-    for y0, (_, v), y1 in zip([ys[0], *ys], pts, [*ys[1:], ys[-1]]):
-        b, e = y0.denominator, y1.denominator
-        den = v.denominator * b * e
-        acc[den] = acc.get(den, 0) + v.numerator * (y1.numerator * b - y0.numerator * e)
+    for p0, q0, t, w, p1, q1 in zip(
+        (ps[0], *ps),
+        (qs[0], *qs),
+        profile.v_num,
+        profile.v_den,
+        (*ps[1:], ps[-1]),
+        (*qs[1:], qs[-1]),
+    ):
+        den = w * q0 * q1
+        acc[den] = acc.get(den, 0) + t * (p1 * q0 - p0 * q1)
     common = lcm(*acc)
     return Fraction(sum(num * (common // den) for den, num in acc.items()), 2 * common)

@@ -229,9 +229,18 @@ def canonical_class(perm: Permutation) -> Permutation:
     mirror are isometries of the parallelogram family), so search only
     needs one representative per class.
     """
-    inv = perm.inverse()
-    candidates = (perm, inv, perm.mirrored(), inv.mirrored())
-    return min(candidates, key=lambda p: p.image)
+    image = perm.image
+    top = len(image) + 1
+    inv = [0] * len(image)
+    for j, k in enumerate(image, start=1):
+        inv[k - 1] = j
+    # the mirror r s r maps j to top - s(top - j): the image reversed and flipped
+    least = min(
+        tuple(inv),
+        tuple([top - v for v in reversed(image)]),
+        tuple([top - v for v in reversed(inv)]),
+    )
+    return perm if image <= least else Permutation(least)
 
 
 def _require_positive(n: int) -> None:

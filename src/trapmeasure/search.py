@@ -40,7 +40,10 @@ RANGES_PER_WORKER = 32
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Explicit argument, else the environment override, else CPU count."""
+    """Explicit argument, else the environment override, else the number of
+    CPUs this process may run on (its affinity mask where the platform has
+    one, so a container pinned to 2 CPUs gets 2 workers, not the host's
+    count)."""
     if workers is not None:
         if workers < 1:
             raise ValueError(f"worker count must be positive, got {workers}")
@@ -54,6 +57,8 @@ def resolve_workers(workers: int | None = None) -> int:
         if value < 1:
             raise ValueError(f"{WORKERS_ENV_VAR} must be positive, got {value}")
         return value
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -156,14 +161,21 @@ def alpha_heuristic(n: int, budget: int, seed: int) -> AlphaRecord:
     evaluated, so the result can never exceed their best), then runs
     first-improvement descent over adjacent transpositions with random
     restarts.  ``budget`` caps objective evaluations; cached repeats count
-    toward the budget but not toward ``perms_evaluated``.  Deterministic
+    toward the budget but not toward ``perms_evaluated``.  A budget below
+    the number of distinct seed permutations is refused.  Deterministic
     for a fixed seed.
     """
     if n < 2:
         raise ValueError(f"heuristic search needs n >= 2, got {n}")
-    if budget < 1:
-        raise ValueError(f"budget must be positive, got {budget}")
     started = time.perf_counter()
+    seeds = []
+    for candidate in (identity(n), reversal(n), composite_permutation(n)):
+        if candidate.image not in seeds:
+            seeds.append(candidate.image)
+    if budget < len(seeds):
+        raise ValueError(
+            f"budget {budget} is below the {len(seeds)} seed permutations always evaluated"
+        )
     rng = random.Random(seed)
     cache: dict[tuple[int, ...], Fraction] = {}
     attempts = 0
@@ -177,10 +189,6 @@ def alpha_heuristic(n: int, budget: int, seed: int) -> AlphaRecord:
             cache[image] = value
         return value
 
-    seeds = []
-    for candidate in (identity(n), reversal(n), composite_permutation(n)):
-        if candidate.image not in seeds:
-            seeds.append(candidate.image)
     best_image = min(seeds, key=lambda img: (evaluate(img), img))
     best_area = cache[best_image]
     space = math.factorial(n) if n <= 12 else None

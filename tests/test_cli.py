@@ -150,6 +150,10 @@ class TestExitCodes:
     def test_exhaustive_guard(self, capsys):
         assert main(["alpha", "--n", "11", "--workers", "1"]) == 1
 
+    def test_budget_below_seed_count(self, capsys):
+        assert main(["alpha", "--n", "2", "--heuristic", "--budget", "1", "--seed", "1"]) == 1
+        assert "budget" in capsys.readouterr().err
+
     def test_verify_violation_exits_three(self, capsys):
         assert main(["verify", "lemma1", "--depths", "1", "--t-points", "3"]) == 3
 

@@ -1,7 +1,10 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -207,6 +210,111 @@ class TestProfile:
         result = integrate_plp(PiecewiseLinearProfile(pts))
         assert type(result) is Fraction
         assert result == expected
+
+
+class TestIntegerColumns:
+    # (0, 1) -> (1/2, 1/2) -> (1, 1) written with unreduced fractions
+    UNREDUCED = ((0, 2, 3), (5, 4, 3), (2, 3, 7), (2, 6, 7))
+    PAIRS = ((F(0), F(1)), (F(1, 2), F(1, 2)), (F(1), F(1)))
+
+    def test_lazy_breakpoints_are_reduced_fraction_pairs(self):
+        for n, image in ((3, (1, 3, 2)), (9, digit_swap_permutation(2).image), (30, None)):
+            spec = TrapezoidSpec(n, Permutation(image) if image else composite_permutation(n))
+            prof = slice_profile(spec)
+            assert prof._breakpoints is None  # nothing built until first read
+            expected = tuple(
+                (F(p, q), F(a, b))
+                for p, q, a, b in zip(prof.y_num, prof.y_den, prof.v_num, prof.v_den)
+            )
+            assert prof.breakpoints == expected
+            assert all(type(y) is F and type(v) is F for y, v in prof.breakpoints)
+            assert prof.breakpoints is prof.breakpoints  # cached
+            assert PiecewiseLinearProfile(expected) == prof
+
+    def test_columns_from_pairs(self):
+        prof = PiecewiseLinearProfile(self.PAIRS)
+        assert (prof.y_num, prof.y_den, prof.v_num, prof.v_den) == (
+            (0, 1, 1),
+            (1, 2, 1),
+            (1, 1, 1),
+            (1, 2, 1),
+        )
+
+    def test_equality_is_value_based(self):
+        unreduced = PiecewiseLinearProfile(*self.UNREDUCED)
+        pairs = PiecewiseLinearProfile(self.PAIRS)
+        assert unreduced == pairs
+        assert hash(unreduced) == hash(pairs)
+        assert unreduced.breakpoints == self.PAIRS
+        assert integrate_plp(unreduced) == integrate_plp(pairs) == F(3, 4)
+        assert unreduced != PiecewiseLinearProfile(((F(0), F(1)), (F(1), F(1))))
+
+    def test_immutable(self):
+        prof = PiecewiseLinearProfile(self.PAIRS)
+        with pytest.raises(AttributeError):
+            prof.y_num = (0, 1)
+
+    def test_pickle_and_copy_round_trip(self):
+        prof = PiecewiseLinearProfile(*self.UNREDUCED)
+        for clone in (pickle.loads(pickle.dumps(prof)), copy.deepcopy(prof)):
+            assert clone == prof
+            assert clone.v_den == self.UNREDUCED[3]
+
+    # each invalid profile in both input forms: pairs, then integer columns
+    INVALID = {
+        "one point": (((F(0), F(1)),), ((0,), (1,), (1,), (1,)), ValueError),
+        "ends below 1": (
+            ((F(0), F(1)), (F(1, 2), F(1))),
+            ((0, 1), (1, 2), (1, 1), (1, 1)),
+            ValueError,
+        ),
+        "starts above 0": (
+            ((F(1, 4), F(1)), (F(1), F(1))),
+            ((1, 4), (4, 4), (1, 1), (1, 1)),
+            ValueError,
+        ),
+        "repeated ordinate": (
+            ((F(0), F(1)), (F(1, 2), F(2)), (F(1, 2), F(1)), (F(1), F(1))),
+            ((0, 1, 2, 1), (1, 2, 4, 1), (1, 2, 1, 1), (1, 1, 1, 1)),
+            ValueError,
+        ),
+        "decreasing ordinate": (
+            ((F(0), F(1)), (F(2, 3), F(1)), (F(1, 3), F(1)), (F(1), F(1))),
+            ((0, 2, 1, 1), (1, 3, 3, 1), (1, 1, 1, 1), (1, 1, 1, 1)),
+            ValueError,
+        ),
+        "float": (
+            ((F(0), F(1)), (0.5, F(1)), (F(1), F(1))),
+            ((0, 0.5, 1), (1, 1, 1), (1, 1, 1), (1, 1, 1)),
+            TypeError,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(INVALID))
+    def test_each_check_raises_on_both_forms(self, case):
+        pairs, columns, error = self.INVALID[case]
+        with pytest.raises(error):
+            PiecewiseLinearProfile(pairs)
+        with pytest.raises(error):
+            PiecewiseLinearProfile(*columns)
+
+    @pytest.mark.parametrize(
+        "columns, error",
+        [
+            (((0, 1), (0, 1), (1, 1), (1, 1)), ValueError),  # zero y denominator
+            (((0, 1), (1, 1), (1, 1), (1, -1)), ValueError),  # negative value denominator
+            (((0, 1, 1), (1, 2, 1), (1, 1), (1, 1)), ValueError),  # ragged columns
+            (((0, 1), (1, 1), (1, 1)), TypeError),  # three columns
+        ],
+    )
+    def test_column_only_checks(self, columns, error):
+        with pytest.raises(error):
+            PiecewiseLinearProfile(*columns)
+
+    @pytest.mark.parametrize("bad", [F(1, 2), np.int64(1), 1.0])
+    def test_columns_refuse_non_int_entries(self, bad):
+        with pytest.raises(TypeError):
+            PiecewiseLinearProfile((0, 1), (1, 1), (bad, 1), (1, 1))
 
 
 def integrate_plp_lcm_reference(profile):

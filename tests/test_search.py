@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,19 @@ class TestResolveWorkers:
     def test_default_positive(self, monkeypatch):
         monkeypatch.delenv("TRAPMEASURE_THREADS", raising=False)
         assert resolve_workers(None) >= 1
+
+    def test_default_follows_cpu_affinity(self, monkeypatch):
+        # a process pinned to one CPU of a 64-core host gets one worker
+        monkeypatch.delenv("TRAPMEASURE_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert resolve_workers(None) == 1
+
+    def test_default_without_affinity_uses_cpu_count(self, monkeypatch):
+        monkeypatch.delenv("TRAPMEASURE_THREADS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert resolve_workers(None) == 64
 
 
 class TestExhaustive:
@@ -131,6 +145,16 @@ class TestHeuristic:
             alpha_heuristic(1, budget=10, seed=0)
         with pytest.raises(ValueError):
             alpha_heuristic(3, budget=0, seed=0)
+
+    def test_budget_below_seed_count_refused(self):
+        # n = 2 has two distinct seeds (the composite is the identity),
+        # n = 3 has three; all are evaluated before the budget applies
+        with pytest.raises(ValueError):
+            alpha_heuristic(2, budget=1, seed=1)
+        with pytest.raises(ValueError):
+            alpha_heuristic(3, budget=2, seed=1)
+        assert alpha_heuristic(2, budget=2, seed=1).perms_evaluated == 2
+        assert alpha_heuristic(3, budget=3, seed=1).perms_evaluated == 3
 
 
 class TestScan:

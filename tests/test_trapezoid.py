@@ -230,6 +230,11 @@ class TestSliceTotals:
     @staticmethod
     def specs():
         rng = random.Random(23)
+        # every size from the smallest numpy-path input up to the old cutoff
+        for n in range(2, 49):
+            image = list(range(1, n + 1))
+            rng.shuffle(image)
+            yield spec_of(image)
         for _ in range(5):
             n = rng.randint(49, 200)
             image = list(range(1, n + 1))
@@ -239,6 +244,14 @@ class TestSliceTotals:
             yield TrapezoidSpec(3**m, digit_swap_permutation(m))
         yield TrapezoidSpec(60, identity(60))
         yield TrapezoidSpec(60, reversal(60))
+
+    def test_breakpoint_paths_agree(self, monkeypatch):
+        for spec in self.specs():
+            disp = trapezoid._displacements(spec)
+            monkeypatch.setattr(trapezoid, "_VECTOR_CUTOFF", 0)
+            numpy_points = trapezoid._interior_breakpoints(spec.n, disp)
+            monkeypatch.setattr(trapezoid, "_VECTOR_CUTOFF", 10**9)
+            assert numpy_points == trapezoid._interior_breakpoints(spec.n, disp)
 
     def test_numpy_path_matches_python_path(self, monkeypatch):
         for spec in self.specs():
@@ -278,6 +291,19 @@ class TestAreaCrossValidation:
             image = list(range(1, 61))
             rng.shuffle(image)
             assert area(spec_of(image)) == area_reference(tuple(image))
+
+    @pytest.mark.parametrize("n", range(9, 13))
+    def test_just_above_cutoff_matches_reference(self, n):
+        # the smallest sizes on the numpy sweep
+        assert n > trapezoid._VECTOR_CUTOFF
+        rng = random.Random(n)
+        images = [tuple(range(n, 0, -1))]
+        for _ in range(3):
+            image = list(range(1, n + 1))
+            rng.shuffle(image)
+            images.append(tuple(image))
+        for image in images:
+            assert area.__wrapped__(spec_of(image)) == area_reference(image)
 
     def test_digit_swap_small_orders_frozen(self):
         # frozen after cross-checking against area_reference and the
