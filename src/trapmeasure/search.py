@@ -1,16 +1,22 @@
 """Minimum trapezoid measure over permutations: exact and heuristic search.
 
 The exact path enumerates all n! pairings (optionally one representative
-per four-element symmetry class).  With several workers it cuts the
-lexicographic rank space into many small contiguous ranges, about 32 per
-worker, that a process pool hands out as workers free up; the reduction
-runs in rank order, so results are identical for any worker count.  The
+per four-element symmetry class) as blocks of images unranked in numpy,
+drops the non-representatives of each block with a vector form of
+``canonical_class``, and scores the rest with the exact integer kernel
+of ``trapezoid.FareyGrid``; each range's winner is checked against the
+exact sweep.  With several workers it cuts the lexicographic rank space
+into many small contiguous ranges, about 32 per worker, that a process
+pool hands out as workers free up; the reduction runs in rank order, so
+results are identical for any worker count.  Exactness bounds n to 15:
+beyond it the base-(n+1) row codes of the filter overflow int64.  The
 heuristic path is a seeded first-improvement descent over adjacent
 transpositions with random restarts, reporting an upper bound.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import random
@@ -18,17 +24,20 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from typing import Iterator
+
+import numpy as np
 
 from .gasket import DecayFit, decay_fit
 from .permutations import (
     Permutation,
-    canonical_class,
     composite_permutation,
     identity,
-    iter_permutations,
+    permutation_at_rank,
     reversal,
 )
-from .trapezoid import TrapezoidSpec, area
+from .trapezoid import TrapezoidSpec, area, farey_grid
 
 # n! beyond this is not desk-scale; an explicit override is required.
 EXHAUSTIVE_GUARD = 10
@@ -79,25 +88,83 @@ class AlphaRecord:
     wall_time: float
 
 
+# enumeration blocks hold every order of the last (up to) six entries
+_TAIL = 6
+
+# permutations per kernel call: large enough to amortize numpy's per-call
+# cost, small enough to keep the kernel's arrays well under 1 MB at n <= 10
+_KERNEL_ROWS = 256
+
+
+@lru_cache(maxsize=None)
+def _tail_orders(m: int) -> np.ndarray:
+    """All m! orders of range(m), in lexicographic order."""
+    return np.array(list(itertools.permutations(range(m))), dtype=np.intp)
+
+
+def _rank_blocks(n: int, start: int, stop: int) -> Iterator[np.ndarray]:
+    """Images of the ranks [start, stop) in lexicographic order, as blocks.
+
+    Ranks in one aligned run of m! share their first n - m entries and
+    list every order of the last m, so each block is the run's first
+    permutation with its tail reordered by a fixed index table.
+    """
+    m = min(n, _TAIL)
+    orders = _tail_orders(m)
+    size = len(orders)
+    for base in range(start - start % size, stop, size):
+        first = np.array(permutation_at_rank(n, base).image, dtype=np.int64)
+        lo, hi = max(start, base) - base, min(stop, base + size) - base
+        block = np.empty((hi - lo, n), dtype=np.int64)
+        block[:, : n - m] = first[: n - m]
+        block[:, n - m :] = first[n - m :][orders[lo:hi]]
+        yield block
+
+
+def _canonical_mask(images: np.ndarray) -> np.ndarray:
+    """Rows that are their own ``canonical_class`` representative.
+
+    Rows are compared as base-(n+1) codes, which order them as the
+    lexicographic tuple order does while (n+1)^n < 2^63.
+    """
+    n = images.shape[1]
+    powers = (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    inverse = np.argsort(images, axis=1) + 1
+    least = np.minimum(inverse @ powers, (n + 1 - images[:, ::-1]) @ powers)
+    np.minimum(least, (n + 1 - inverse[:, ::-1]) @ powers, out=least)
+    return images @ powers <= least
+
+
 def _range_champion(
     args: tuple[int, int, int, bool],
 ) -> tuple[Fraction | None, tuple[int, ...] | None, int]:
     """Best (area, image) over a lexicographic rank range, plus eval count.
 
-    A fully pruned range yields (None, None, 0).
+    Areas come from the exact grid kernel; the winner is checked against
+    the exact sweep.  A fully pruned range yields (None, None, 0).
     """
     n, start, stop, use_symmetry = args
-    best_area: Fraction | None = None
+    grid = farey_grid(n)
+    best_num: int | None = None
     best_image: tuple[int, ...] | None = None
     evaluated = 0
-    for perm in iter_permutations(n, start, stop):
-        if use_symmetry and canonical_class(perm).image != perm.image:
-            continue
-        value = area(TrapezoidSpec(n, perm))
-        evaluated += 1
-        if best_area is None or (value, perm.image) < (best_area, best_image):
-            best_area, best_image = value, perm.image
-    return best_area, best_image, evaluated
+    for images in _rank_blocks(n, start, stop):
+        if use_symmetry:
+            images = images[_canonical_mask(images)]
+        evaluated += len(images)
+        for s in range(0, len(images), _KERNEL_ROWS):
+            rows = images[s : s + _KERNEL_ROWS]
+            nums = grid.area_numerators(rows)
+            # rows are in rank order, so the first minimum is the least image
+            i = int(nums.argmin())
+            if best_num is None or nums[i] < best_num:
+                best_num, best_image = int(nums[i]), tuple(rows[i].tolist())
+    if best_image is None:
+        return None, None, 0
+    value = Fraction(best_num, grid.denominator)
+    if value != area(TrapezoidSpec(n, Permutation(best_image))):
+        raise AssertionError(f"grid kernel disagrees with the exact sweep at {best_image}")
+    return value, best_image, evaluated
 
 
 def alpha_exhaustive(
@@ -115,6 +182,11 @@ def alpha_exhaustive(
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    # exactness limits, checked before any work and not lifted by force;
+    # capping the exponent keeps the check cheap and changes no answer
+    if (n + 1) ** min(n, 63) >= 2**63:
+        raise ValueError(f"n={n}: base-{n + 1} permutation codes overflow int64")
+    farey_grid(n)  # refuses a grid denominator of 2^62 or more
     if n > EXHAUSTIVE_GUARD and not force:
         raise ValueError(
             f"n={n} means {n}! exact sweeps; pass force=True if you really want this"

@@ -21,6 +21,11 @@ q*(n + max|d|) < 2^30 bounds every endpoint and gap, else in int64
 (refused at 2^62).  Candidate heights are reduced p/q with q < 2n, so
 distinct ones differ by more than 1/(4n^2) and both paths sort them by
 float value, with a cross-multiplied check that the order is strict.
+
+``FareyGrid`` scores many permutations of one n at once for exhaustive
+search: the same integer slice totals, taken on the one grid of heights
+that holds every permutation's breakpoints, weighted into exact int64
+numerators over a shared denominator.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -246,6 +251,97 @@ def slice_profile(spec: TrapezoidSpec) -> PiecewiseLinearProfile:
 def area(spec: TrapezoidSpec) -> Rational:
     """Exact two-dimensional measure of the trapezoid, in [1/n, 1]."""
     return integrate_plp(slice_profile(spec))
+
+
+def _sorting_network(n: int) -> tuple[tuple[int, int], ...]:
+    """Comparators (a, b), a < b, of a network that sorts n values.
+
+    Batcher's odd-even merge sort on the next power of two, keeping only
+    comparators between the first n wires: the dropped wires would hold
+    +inf, which no comparator moves, so the kept ones sort on their own.
+    """
+    size = 1 << (n - 1).bit_length()
+    pairs = []
+    p = 1
+    while p < size:
+        k = p
+        while k:
+            for j in range(k % p, size - k, 2 * k):
+                for i in range(j, j + min(k, size - j - k)):
+                    if i // (2 * p) == (i + k) // (2 * p) and i + k < n:
+                        pairs.append((i, i + k))
+            k //= 2
+        p *= 2
+    return tuple(pairs)
+
+
+class FareyGrid:
+    """Exact area kernel for many permutations of one n at once.
+
+    Every interior breakpoint of every permutation of n is a reduced p/q
+    with q = |d_i - d_j| <= 2n - 2, so the K heights of the Farey
+    sequence of that order hold them all, and the trapezoid rule over
+    this one grid is exact for each permutation.  With the slice total
+    t_k over n*q_k at height y_k, the area is
+    y_1/2 + (1 - y_K)/2 + sum_k t_k (y_(k+1) - y_(k-1)) / (2 n q_k).
+    Scaled by ``denominator`` D, the lcm of all those denominators, each
+    term is an integer, so area * D is an exact int64 dot product:
+    ``offset`` plus the capped endpoint gaps at every height times
+    ``weights``.  Endpoints j0*q + d*p lie in [0, (n-1) q], so rows of
+    int16 hold them, and a sorting network orders the n strips of all
+    rows at once.
+    """
+
+    def __init__(self, n: int) -> None:
+        if n < 1:
+            raise ValueError(f"n must be positive, got {n}")
+        # the table below also holds (j0, d) pairs no permutation has, all
+        # with |j0*q + d*p| < 4 (n-1)^2
+        if 4 * (n - 1) ** 2 >= 2**15:
+            raise ValueError(f"n={n}: grid endpoints overflow int16")
+        order = 2 * n - 2
+        heights = sorted({Fraction(p, q) for q in range(2, order + 1) for p in range(1, q)})
+        ys = [Fraction(0), *heights, Fraction(1)]
+        end_term = ys[1] / 2 + (1 - ys[-2]) / 2
+        weights = [(ys[k + 1] - ys[k - 1]) / (2 * n * ys[k].denominator) for k in range(1, len(ys) - 1)]
+        denominator = lcm(end_term.denominator, *(w.denominator for w in weights))
+        if denominator >= 2**62:
+            raise ValueError(f"n={n}: grid denominator {denominator} overflows int64")
+        self.n = n
+        self.denominator = denominator
+        self.weights = np.array([w.numerator * (denominator // w.denominator) for w in weights], dtype=np.int64)
+        p = np.array([y.numerator for y in heights], dtype=np.int16)
+        self.q = np.array([y.denominator for y in heights], dtype=np.int16)
+        # the union of n width-q intervals is q plus the capped gaps
+        self.offset = int(end_term * denominator) + int(self.q.astype(np.int64) @ self.weights)
+        # row j0 * (2n - 1) + d + n - 1 holds strip j0's endpoints j0*q + d*p
+        j0 = np.repeat(np.arange(n, dtype=np.int16), 2 * n - 1)[:, None]
+        d = np.tile(np.arange(1 - n, n, dtype=np.int16), n)[:, None]
+        self.table = j0 * self.q + d * p
+        self.network = _sorting_network(n)
+
+    def area_numerators(self, images: np.ndarray) -> np.ndarray:
+        """area * ``denominator`` for each row of 1-based images, as int64."""
+        n = self.n
+        # image value v at 0-based position j0 means displacement v - 1 - j0
+        rows = list(self.table[images.T + (np.arange(n) * (2 * n - 2) + n - 2)[:, None]])
+        spare = np.empty_like(rows[0])
+        for a, b in self.network:
+            np.minimum(rows[a], rows[b], out=spare)
+            np.maximum(rows[a], rows[b], out=rows[b])
+            rows[a], spare = spare, rows[a]
+        gaps = np.zeros_like(spare)
+        for lo, hi in zip(rows, rows[1:]):
+            np.subtract(hi, lo, out=spare)
+            np.minimum(spare, self.q, out=spare)
+            gaps += spare
+        return self.offset + gaps @ self.weights
+
+
+@lru_cache(maxsize=16)
+def farey_grid(n: int) -> FareyGrid:
+    """The shared, cached :class:`FareyGrid` of n."""
+    return FareyGrid(n)
 
 
 def area_oracle(spec: TrapezoidSpec, samples: int) -> float:

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -149,6 +150,12 @@ class TestExitCodes:
 
     def test_exhaustive_guard(self, capsys):
         assert main(["alpha", "--n", "11", "--workers", "1"]) == 1
+
+    def test_exactness_limit_exits_at_once(self, capsys):
+        started = time.perf_counter()
+        assert main(["alpha", "--n", "16", "--force", "--workers", "1"]) == 1
+        assert time.perf_counter() - started < 5
+        assert "overflow" in capsys.readouterr().err
 
     def test_budget_below_seed_count(self, capsys):
         assert main(["alpha", "--n", "2", "--heuristic", "--budget", "1", "--seed", "1"]) == 1

@@ -1,12 +1,17 @@
+import math
 import os
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from trapmeasure import search
 from trapmeasure.permutations import (
+    canonical_class,
     composite_permutation,
     digit_swap_permutation,
     identity,
+    iter_permutations,
     reversal,
 )
 from trapmeasure.search import (
@@ -92,15 +97,55 @@ class TestExhaustive:
         assert single.perms_evaluated == split.perms_evaluated
 
     def test_range_split_independent_of_worker_count(self):
-        records = [alpha_exhaustive(7, workers=w) for w in (1, 2, 5)]
-        for record in records[1:]:
-            assert record.alpha == records[0].alpha
-            assert record.argmin == records[0].argmin
-            assert record.perms_evaluated == records[0].perms_evaluated
+        for n in (7, 8):
+            records = [alpha_exhaustive(n, workers=w) for w in (1, 2, 5)]
+            for record in records[1:]:
+                assert record.alpha == records[0].alpha
+                assert record.argmin == records[0].argmin
+                assert record.perms_evaluated == records[0].perms_evaluated
 
     def test_ranges_tile_rank_space_once(self):
         record = alpha_exhaustive(6, use_symmetry=False, workers=4)
         assert record.perms_evaluated == 720
+        record = alpha_exhaustive(7, use_symmetry=False, workers=4)
+        assert record.perms_evaluated == 5040
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_range_champion_is_least_minimizer(self, n):
+        # ranges of n >= 4 hold tied minima, within and across blocks
+        total = math.factorial(n)
+        cuts = [(0, total)] + [(total * i // 5, total * (i + 1) // 5) for i in range(5)]
+        for start, stop in cuts:
+            if start == stop:
+                continue
+            best = min((area(TrapezoidSpec(n, p)), p.image) for p in iter_permutations(n, start, stop))
+            assert search._range_champion((n, start, stop, False))[:2] == best
+
+    def test_alpha_9_pinned(self):
+        record = alpha_exhaustive(9, workers=2)
+        assert record.alpha == F(5, 9)
+        assert record.argmin == reversal(9)
+        assert record.perms_evaluated == 92_126
+
+    def test_alpha_10_pinned(self):
+        record = alpha_exhaustive(10, workers=2)
+        assert record.alpha == F(329, 600)
+        assert record.argmin.image == (10, 9, 8, 5, 4, 7, 6, 3, 2, 1)
+        assert record.perms_evaluated == 912_908
+
+    @pytest.mark.parametrize("n", [16, 20, 1000])
+    def test_exactness_limit_refused_before_enumeration(self, n, monkeypatch):
+        def enumerate_anyway(args):
+            raise RuntimeError("enumeration started")
+
+        monkeypatch.setattr(search, "_range_champion", enumerate_anyway)
+        with pytest.raises(ValueError):
+            alpha_exhaustive(n, workers=1, force=True)
+
+    def test_range_winner_checked_against_exact_sweep(self, monkeypatch):
+        monkeypatch.setattr(search, "area", lambda spec: F(1))
+        with pytest.raises(AssertionError):
+            alpha_exhaustive(4, workers=1)
 
     def test_never_beaten_by_named_specs(self):
         for n in (2, 3, 4, 5):
@@ -112,6 +157,26 @@ class TestExhaustive:
         for n in (1, 2, 3, 4, 5, 6):
             record = alpha_exhaustive(n, workers=1)
             assert F(1, n) <= record.alpha <= 1
+
+
+class TestBatchEnumeration:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_vector_filter_keeps_class_representatives(self, n):
+        perms = list(iter_permutations(n))
+        images = np.array([p.image for p in perms])
+        kept = [canonical_class(p).image == p.image for p in perms]
+        assert search._canonical_mask(images).tolist() == kept
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_rank_blocks_match_iter_permutations(self, n):
+        total = math.factorial(n)
+        cuts = {(0, total), (total - 1, total), (total // 3, total // 3 + 1)}
+        cuts |= {(rank, rank + 1) for rank in range(min(total, 30))}
+        cuts |= {(total // 7, 2 * total // 5 + 1), (max(0, total // 2 - 1), total)}
+        for start, stop in cuts:
+            blocks = list(search._rank_blocks(n, start, stop))
+            got = [tuple(row) for block in blocks for row in block.tolist()]
+            assert got == [p.image for p in iter_permutations(n, start, stop)]
 
 
 class TestHeuristic:

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import permutations as itertools_permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,10 +16,12 @@ from trapmeasure.permutations import (
 )
 from trapmeasure import trapezoid
 from trapmeasure.trapezoid import (
+    FareyGrid,
     Parallelogram,
     TrapezoidSpec,
     area,
     area_oracle,
+    farey_grid,
     slice_at,
     slice_profile,
     weighted_sum_identity,
@@ -313,6 +316,52 @@ class TestAreaCrossValidation:
         assert area(TrapezoidSpec(27, digit_swap_permutation(3))) == F(
             939529831, 1428499800
         )
+
+
+def grid_areas(n, images):
+    grid = farey_grid(n)
+    nums = grid.area_numerators(np.array(images, dtype=np.int64).reshape(-1, n))
+    return [F(int(num), grid.denominator) for num in nums]
+
+
+class TestFareyGrid:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_permutation_matches_exact_sweep(self, n):
+        images = list(itertools_permutations(range(1, n + 1)))
+        assert grid_areas(n, images) == [area.__wrapped__(spec_of(img)) for img in images]
+
+    @pytest.mark.parametrize("n", range(8, 16))
+    def test_random_permutations_match_exact_sweep(self, n):
+        rng = random.Random(n)
+        images = [tuple(range(n, 0, -1))]
+        for _ in range(30):
+            image = list(range(1, n + 1))
+            rng.shuffle(image)
+            images.append(tuple(image))
+        if n == 9:
+            images.append(digit_swap_permutation(2).image)
+        assert grid_areas(n, images) == [area.__wrapped__(spec_of(img)) for img in images]
+
+    def test_grid_sizes(self):
+        # the Farey sequence of order 2n - 2, without its ends
+        assert [len(farey_grid(n).weights) for n in (1, 2, 8, 9, 10)] == [0, 1, 63, 79, 101]
+        assert all(farey_grid(n).denominator < 2**40 for n in range(1, 14))
+
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_network_sorts_every_zero_one_input(self, n):
+        # a comparator network that sorts all 2^n 0/1 inputs sorts every input
+        rows = list((np.arange(2**n)[None, :] >> np.arange(n)[:, None]) & 1)
+        for a, b in trapezoid._sorting_network(n):
+            rows[a], rows[b] = np.minimum(rows[a], rows[b]), np.maximum(rows[a], rows[b])
+        assert all((lo <= hi).all() for lo, hi in zip(rows, rows[1:]))
+
+    def test_limits_refused(self):
+        with pytest.raises(ValueError):
+            FareyGrid(0)
+        with pytest.raises(ValueError, match="denominator"):
+            FareyGrid(40)
+        with pytest.raises(ValueError, match="int16"):
+            FareyGrid(92)
 
 
 class TestAreaOracle:
