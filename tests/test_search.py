@@ -89,14 +89,16 @@ class TestExhaustive:
         assert pruned.argmin == full.argmin
         assert pruned.perms_evaluated <= full.perms_evaluated
 
-    def test_worker_determinism(self):
+    def test_worker_determinism(self, monkeypatch):
+        monkeypatch.setattr(search, "POOL_MIN_RANKS", 0)
         single = alpha_exhaustive(5, workers=1)
         split = alpha_exhaustive(5, workers=3)
         assert single.alpha == split.alpha
         assert single.argmin == split.argmin
         assert single.perms_evaluated == split.perms_evaluated
 
-    def test_range_split_independent_of_worker_count(self):
+    def test_range_split_independent_of_worker_count(self, monkeypatch):
+        monkeypatch.setattr(search, "POOL_MIN_RANKS", 0)
         for n in (7, 8):
             records = [alpha_exhaustive(n, workers=w) for w in (1, 2, 5)]
             for record in records[1:]:
@@ -104,11 +106,23 @@ class TestExhaustive:
                 assert record.argmin == records[0].argmin
                 assert record.perms_evaluated == records[0].perms_evaluated
 
-    def test_ranges_tile_rank_space_once(self):
+    def test_ranges_tile_rank_space_once(self, monkeypatch):
+        monkeypatch.setattr(search, "POOL_MIN_RANKS", 0)
         record = alpha_exhaustive(6, use_symmetry=False, workers=4)
         assert record.perms_evaluated == 720
         record = alpha_exhaustive(7, use_symmetry=False, workers=4)
         assert record.perms_evaluated == 5040
+
+    def test_small_search_starts_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("process pool started")
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+        assert math.factorial(8) < search.POOL_MIN_RANKS <= math.factorial(9)
+        record = alpha_exhaustive(8, workers=2)
+        assert (record.alpha, record.perms_evaluated) == (F(9, 16), 10_558)
+        with pytest.raises(AssertionError, match="process pool started"):
+            alpha_exhaustive(9, workers=2)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_range_champion_is_least_minimizer(self, n):
