@@ -8,7 +8,8 @@ partial modified Cantor set, and {0, 1+t, 2-t} gives the horizontal slice
 of the depth-n digit-swap trapezoid at height t.  ``partial_cantor``
 builds each stage level by level, in exact integers, as the union of the
 previous stage's merged parts shifted by each digit and scaled by 1/3, so
-it never enumerates the 3^n sums.
+it never enumerates the 3^n sums.  Every union is integers over one
+scale; Fractions are built only when read, so a measure costs one.
 
 The limit measures have closed forms driven by a mod-3 condition on the
 lowest-terms representation of the parameter; those are implemented as
@@ -22,7 +23,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Interval, IntervalUnion, Rational, RationalLike, as_rational
+from .exact import IntervalUnion, Rational, RationalLike, as_rational, merge_ints
 
 DEPTH_CAP = 12
 
@@ -85,19 +86,11 @@ def partial_cantor(spec: DigitSetSpec) -> IntervalUnion:
     """
     q = math.lcm(*(d.denominator for d in spec.digits))
     digit_ints = sorted({int(d * q) for d in spec.digits})
-    merged = [[0, q]]
+    los, his = [0], [q]
     for k in range(spec.depth):
         shifts = [d * 3**k for d in digit_ints]
-        shifted = sorted((lo + s, hi + s) for s in shifts for lo, hi in merged)
-        merged = []
-        for lo, hi in shifted:
-            if merged and lo <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-    scale = q * 3**spec.depth
-    parts = tuple(Interval(Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in merged)
-    return IntervalUnion(parts)
+        los, his = merge_ints((lo + s, hi + s) for s in shifts for lo, hi in zip(los, his))
+    return IntervalUnion(los, his, q * 3**spec.depth)
 
 
 def slice_set(depth: int, t: RationalLike, cap: int = DEPTH_CAP) -> IntervalUnion:

@@ -2,19 +2,20 @@
 integration of piecewise-linear profiles.
 
 Everything in this module is pure and immutable, and every number is an
-exact rational: a ``fractions.Fraction``, or, inside a piecewise-linear
-profile, an integer numerator and denominator pair that is reduced to a
-``Fraction`` only when read.  No floating point enters any computation
-here; callers that want decimals convert at the boundary.
+exact rational.  Every union is integers over one scale, and every
+piecewise-linear profile is integer numerator and denominator columns;
+Fractions are built only when read (``parts``, ``breakpoints``) or for
+the one final value (``measure``, ``integrate_plp``).  No floating point
+enters any computation here; callers that want decimals convert at the
+boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import lcm
-from operator import lt, mul
+from math import gcd, lcm
+from operator import le, lt, mul
 from typing import Iterable, Union
 
 # All exact scalars in the package are Fractions: stored in lowest terms
@@ -61,29 +62,100 @@ class Interval:
         return f"[{self.lo}, {self.hi}]"
 
 
-@dataclass(frozen=True)
+def _common_scale(parts: tuple[Interval, ...]) -> tuple[list[int], list[int], int]:
+    """Endpoint columns of the parts as integers over their least common denominator."""
+    scale = lcm(*(x.denominator for p in parts for x in (p.lo, p.hi)))
+    return (
+        [p.lo.numerator * (scale // p.lo.denominator) for p in parts],
+        [p.hi.numerator * (scale // p.hi.denominator) for p in parts],
+        scale,
+    )
+
+
 class IntervalUnion:
     """Canonical union of closed intervals: sorted, with strict gaps.
 
-    Touching intervals are merged on construction via :func:`normalize`,
-    so equal point sets always compare equal.  Direct construction with a
-    non-canonical part tuple raises.
+    Built either from a tuple of :class:`Interval` parts or from two
+    integer columns and a scale, ``(lo, hi, scale)``, with part k the
+    interval [lo[k]/scale, hi[k]/scale].  Both forms store the columns
+    over one common scale and run the same checks: lo <= hi in every
+    part, each part strictly left of the next (touching parts must be
+    merged first, e.g. by :func:`normalize`), a positive scale, integers
+    only.  ``parts`` is the tuple of reduced Fraction intervals, built on
+    first read; ``measure`` never builds it.  Equality, hashing, pickling
+    and ``repr`` depend on the point set alone, never on the scale.
     """
 
-    parts: tuple[Interval, ...] = ()
+    __slots__ = ("lo", "hi", "scale", "_parts")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(self.parts))
-        for prev, cur in zip(self.parts, self.parts[1:]):
-            if prev.hi >= cur.lo:
-                raise ValueError(
-                    f"parts not canonical: {prev} and {cur} overlap or touch; use normalize()"
-                )
+    def __init__(self, parts: Iterable[Interval] = (), *columns) -> None:
+        # IntervalUnion(lo, hi, scale) passes the lo column as ``parts``
+        if not columns:
+            parts = tuple(parts)
+            lo, hi, scale = _common_scale(parts)
+        elif len(columns) == 2:
+            lo, (hi, scale), parts = parts, columns, None
+        else:
+            raise TypeError("expected a tuple of Intervals or (lo, hi, scale) integer columns")
+        lo, hi = tuple(lo), tuple(hi)
+        # as for profiles: a column's sum is an int only if every entry is
+        if type(scale) is not int or type(sum(lo)) is not int or type(sum(hi)) is not int:
+            raise TypeError("union columns and scale must be Python ints")
+        if len(lo) != len(hi):
+            raise ValueError("union columns differ in length")
+        if scale <= 0:
+            raise ValueError(f"union scale must be positive, got {scale}")
+        if not all(map(le, lo, hi)):
+            a, b = next((a, b) for a, b in zip(lo, hi) if a > b)
+            raise ValueError(f"part endpoints out of order: {Fraction(a, scale)} > {Fraction(b, scale)}")
+        if not all(map(lt, hi, lo[1:])):
+            k = next(k for k, (b, a) in enumerate(zip(hi, lo[1:])) if b >= a)
+            raise ValueError(
+                f"parts not canonical: part {k} ends at {Fraction(hi[k], scale)}, "
+                f"part {k + 1} starts at {Fraction(lo[k + 1], scale)}; use normalize()"
+            )
+        for name, value in zip(self.__slots__, (lo, hi, scale, parts)):
+            object.__setattr__(self, name, value)
 
-    @cached_property
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, which __setattr__ allows
+        return type(self), (self.lo, self.hi, self.scale)
+
+    @property
+    def parts(self) -> tuple[Interval, ...]:
+        if self._parts is None:
+            scale = self.scale
+            parts = tuple(
+                Interval(Fraction(a, scale), Fraction(b, scale)) for a, b in zip(self.lo, self.hi)
+            )
+            object.__setattr__(self, "_parts", parts)
+        return self._parts
+
+    @property
     def measure(self) -> Rational:
         """Exact total length (one-dimensional Lebesgue measure)."""
-        return sum((p.length for p in self.parts), Fraction(0))
+        return Fraction(sum(self.hi) - sum(self.lo), self.scale)
+
+    def _reduced(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        # dividing out the common gcd leaves the least common denominator
+        # of the endpoints, so equal point sets give equal columns
+        g = gcd(self.scale, *self.lo, *self.hi)
+        return (
+            tuple(a // g for a in self.lo),
+            tuple(b // g for b in self.hi),
+            self.scale // g,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._reduced() == other._reduced()
+
+    def __hash__(self) -> int:
+        return hash(self._reduced())
 
     def contains(self, x: RationalLike) -> bool:
         return any(p.contains(x) for p in self.parts)
@@ -92,20 +164,33 @@ class IntervalUnion:
         return "{" + ", ".join(repr(p) for p in self.parts) + "}"
 
 
+def merge_ints(pairs: Iterable[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """Lo and hi columns of the union of integer intervals [lo, hi].
+
+    Sorts the pairs and merges everything that overlaps or touches, so the
+    columns pass the canonical check of :class:`IntervalUnion`.
+    """
+    los: list[int] = []
+    his: list[int] = []
+    for lo, hi in sorted(pairs):
+        if his and lo <= his[-1]:
+            if hi > his[-1]:
+                his[-1] = hi
+        else:
+            los.append(lo)
+            his.append(hi)
+    return los, his
+
+
 def normalize(parts: Iterable[Interval]) -> IntervalUnion:
     """Canonicalize a collection of intervals into an IntervalUnion.
 
-    Sorts by left endpoint and merges everything that overlaps or touches;
-    the result's measure equals the measure of the set-theoretic union.
+    Scales every endpoint to an integer over the least common denominator,
+    then sorts and merges with :func:`merge_ints`; the result's measure
+    equals the measure of the set-theoretic union.
     """
-    merged: list[list[Rational]] = []
-    for iv in sorted(parts, key=lambda p: (p.lo, p.hi)):
-        if merged and iv.lo <= merged[-1][1]:
-            if iv.hi > merged[-1][1]:
-                merged[-1][1] = iv.hi
-        else:
-            merged.append([iv.lo, iv.hi])
-    return IntervalUnion(tuple(Interval(lo, hi) for lo, hi in merged))
+    lo, hi, scale = _common_scale(tuple(parts))
+    return IntervalUnion(*merge_ints(zip(lo, hi)), scale)
 
 
 def measure(union: IntervalUnion) -> Rational:

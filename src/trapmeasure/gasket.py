@@ -8,13 +8,17 @@ projection measure over all directions gives the Favard (Buffon needle)
 value, which decays as the depth grows.
 
 Directions come in two flavours: an exact rational slope, for which the
-projected set is computed entirely in rational arithmetic up to a single
-cosine rescale, and a floating angle, for which endpoints are doubles
-merged with a depth-scaled tolerance.  In angle mode every triangle's
-interval is its projected anchor plus one fixed offset pair, so a single
-sort of the anchors orders both endpoint arrays and the parts are cut
-wherever a gap exceeds the tolerance, with no per-triangle loop.  The
-exact mode exists to anchor the numeric one.
+projected set is computed entirely in integers over slope.denominator *
+3^depth up to a single cosine rescale (every union is integers over one
+scale; Fractions only when read), and a floating angle, for which
+endpoints are doubles merged with a depth-scaled tolerance.  In angle
+mode every triangle's interval is its projected anchor plus one fixed
+offset pair, so a single sort of the anchors orders both endpoint arrays
+and the parts are cut wherever a gap exceeds the tolerance, with no
+per-triangle loop.  ``favard`` and ``lemma1_check`` read only the
+measure, the ``math.fsum`` of the part lengths, straight from those
+arrays; only ``project`` builds the tuple of parts.  The exact mode
+exists to anchor the numeric one.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .cantor import slice_set
-from .exact import Interval, IntervalUnion, Rational, RationalLike, as_rational, normalize
+from .exact import IntervalUnion, Rational, RationalLike, as_rational, merge_ints
 
 GASKET_DEPTH_CAP = 8
 
@@ -81,21 +85,27 @@ class Direction:
         return cls(angle=float(angle))
 
 
+def _anchor_ints(depth: int) -> list[tuple[int, int]]:
+    """Triangle anchors as integer pairs over 3^depth, in digit-enumeration order."""
+    anchors = [(0, 0)]
+    for k in range(1, depth + 1):
+        weight = 3 ** (depth - k)
+        anchors = [
+            (x + vx * weight, y + vy * weight)
+            for x, y in anchors
+            for vx, vy in _DIGIT_VECTORS
+        ]
+    return anchors
+
+
 def gasket_anchors(spec: GasketSpec) -> tuple[tuple[Rational, Rational], ...]:
     """Lower-left corners of all generation-depth triangles.
 
     Emitted in digit-enumeration order, (0,0) branch first, so the output
     is deterministic; all 3^depth anchors are distinct.
     """
-    anchors: list[tuple[Fraction, Fraction]] = [(Fraction(0), Fraction(0))]
-    for k in range(1, spec.depth + 1):
-        step = Fraction(1, 3**k)
-        anchors = [
-            (x + vx * step, y + vy * step)
-            for x, y in anchors
-            for vx, vy in _DIGIT_VECTORS
-        ]
-    return tuple(anchors)
+    scale = 3**spec.depth
+    return tuple((Fraction(x, scale), Fraction(y, scale)) for x, y in _anchor_ints(spec.depth))
 
 
 def _anchor_array(depth: int) -> np.ndarray:
@@ -135,20 +145,25 @@ def project(spec: GasketSpec, direction: Direction) -> ExactProjection | Numeric
     """Projection of the partial gasket onto a line with the direction."""
     if direction.slope is not None:
         return _project_exact(spec, direction.slope)
-    return _project_numeric(_anchor_array(spec.depth), spec.depth, direction.angle)
+    starts, ends = _project_numeric(_anchor_array(spec.depth), spec.depth, direction.angle)
+    return NumericProjection(
+        parts=tuple(zip(starts.tolist(), ends.tolist())),
+        measure=math.fsum((ends - starts).tolist()),
+    )
 
 
 def _project_exact(spec: GasketSpec, slope: Fraction) -> ExactProjection:
-    width = Fraction(1, 3**spec.depth) * max(Fraction(1), slope)
-    parts = []
-    for x, y in gasket_anchors(spec):
-        lo = x + slope * y
-        parts.append(Interval(lo, lo + width))
+    # with slope u/v and anchor (x, y)/3^depth, triangle i sweeps
+    # [x v + y u, x v + y u + max(u, v)] over v * 3^depth
+    u, v = slope.numerator, slope.denominator
+    width = max(u, v)
+    lo, hi = merge_ints((x * v + y * u, x * v + y * u + width) for x, y in _anchor_ints(spec.depth))
     cosine = 1.0 / math.sqrt(1.0 + float(slope) ** 2)
-    return ExactProjection(scaled_set=normalize(parts), cosine=cosine)
+    return ExactProjection(scaled_set=IntervalUnion(lo, hi, v * 3**spec.depth), cosine=cosine)
 
 
-def _project_numeric(pts: np.ndarray, depth: int, theta: float) -> NumericProjection:
+def _project_numeric(pts: np.ndarray, depth: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and ends of the merged parts of the projection at angle theta."""
     # Triangle i projects to [b_i + m, b_i + M] with b_i its projected anchor.
     # Rounding is monotone and fl(b + 0) = b, so these equal the corner
     # min/max bit for bit, and sorting b sorts both endpoint arrays: hi is
@@ -161,8 +176,13 @@ def _project_numeric(pts: np.ndarray, depth: int, theta: float) -> NumericProjec
     gaps = np.flatnonzero(lo[1:] > hi[:-1] + 1e-12 * 3**depth)
     starts = lo[np.concatenate(([0], gaps + 1))]
     ends = hi[np.concatenate((gaps, [len(hi) - 1]))]
-    parts = tuple(zip(starts.tolist(), ends.tolist()))
-    return NumericProjection(parts=parts, measure=math.fsum((ends - starts).tolist()))
+    return starts, ends
+
+
+def _numeric_measure(pts: np.ndarray, depth: int, theta: float) -> float:
+    """Measure of the projection at angle theta, with no parts tuple built."""
+    starts, ends = _project_numeric(pts, depth, theta)
+    return math.fsum((ends - starts).tolist())
 
 
 def favard(spec: GasketSpec, quad_points: int) -> float:
@@ -186,7 +206,7 @@ def favard(spec: GasketSpec, quad_points: int) -> float:
             rep = i
         multiplicity[rep] = multiplicity.get(rep, 0) + 1
     total = math.fsum(
-        _project_numeric(pts, spec.depth, (rep + 0.5) * step).measure * count
+        _numeric_measure(pts, spec.depth, (rep + 0.5) * step) * count
         for rep, count in sorted(multiplicity.items())
     )
     return total / quad_points
@@ -225,7 +245,7 @@ def lemma1_check(
             raise ValueError(f"grid height {t} outside [0, 1]")
         lhs = slice_set(depth, t).measure
         phi = math.atan(float((2 - t) / (1 + t)))
-        rhs = float(1 + t) * _project_numeric(pts, depth, phi).measure
+        rhs = float(1 + t) * _numeric_measure(pts, depth, phi)
         ratio = float(lhs) / rhs if rhs else math.inf
         rows.append(
             SliceBoundRow(

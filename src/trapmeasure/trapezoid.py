@@ -45,7 +45,7 @@ from .exact import (
     RationalLike,
     as_rational,
     integrate_plp,
-    normalize,
+    merge_ints,
 )
 from .permutations import Permutation, composite_plan, composite_permutation, digit_swap_permutation
 
@@ -106,11 +106,19 @@ def _displacements(spec: TrapezoidSpec) -> list[int]:
 
 
 def slice_at(spec: TrapezoidSpec, y: RationalLike) -> IntervalUnion:
-    """Exact horizontal slice at height y as a canonical interval union."""
+    """Exact horizontal slice at height y as a canonical interval union.
+
+    At y = p/q the parts are [j0*q + d*p, j0*q + d*p + q] over n*q, the
+    same integers the sweep sorts in ``_slice_totals``.
+    """
     y = as_rational(y)
     if not 0 <= y <= 1:
         raise ValueError(f"slice height {y} outside [0, 1]")
-    return normalize(piece.slice_at(y) for piece in spec.parallelograms())
+    p, q = y.numerator, y.denominator
+    lo, hi = merge_ints(
+        (j0 * q + d * p, j0 * q + d * p + q) for j0, d in enumerate(_displacements(spec))
+    )
+    return IntervalUnion(lo, hi, spec.n * q)
 
 
 def _interior_breakpoints(n: int, disp: list[int]) -> tuple[list[int], list[int]]:

@@ -102,6 +102,86 @@ class TestNormalize:
             assert p.lo.denominator > 0 and p.hi.denominator > 0
 
 
+class TestUnionColumns:
+    # {[0, 1/3], [1/2, 5/6]}: over its least common denominator 6, and over 12
+    PARTS = (Interval(0, F(1, 3)), Interval(F(1, 2), F(5, 6)))
+    COLUMNS = ((0, 3), (2, 5), 6)
+
+    def test_equals_and_hashes_like_the_parts_form(self):
+        columns = IntervalUnion(*self.COLUMNS)
+        doubled = IntervalUnion((0, 6), (4, 10), 12)
+        parts = IntervalUnion(self.PARTS)
+        assert columns == doubled == parts
+        assert hash(columns) == hash(doubled) == hash(parts)
+        assert (parts.lo, parts.hi, parts.scale) == ((0, 3), (2, 5), 6)
+        assert columns.parts == self.PARTS
+        assert repr(columns) == repr(parts) == "{[0, 1/3], [1/2, 5/6]}"
+        assert columns.measure == parts.measure == F(2, 3)
+        assert columns != IntervalUnion((0, 3), (2, 4), 6)
+        assert IntervalUnion() == IntervalUnion((), (), 7)
+        assert hash(IntervalUnion()) == hash(IntervalUnion((), (), 7))
+
+    def test_parts_built_on_first_read_only(self):
+        u = IntervalUnion(*self.COLUMNS)
+        assert u.measure == F(2, 3)
+        assert u._parts is None  # the measure needs no Fraction per part
+        assert all(type(x) is F for p in u.parts for x in (p.lo, p.hi))
+        assert u.parts is u.parts  # cached
+
+    def test_immutable(self):
+        u = IntervalUnion(*self.COLUMNS)
+        with pytest.raises(AttributeError):
+            u.scale = 12
+
+    def test_pickle_and_copy_round_trip(self):
+        for u in (IntervalUnion(*self.COLUMNS), IntervalUnion(self.PARTS), IntervalUnion()):
+            for clone in (pickle.loads(pickle.dumps(u)), copy.copy(u), copy.deepcopy(u)):
+                assert clone == u
+                assert hash(clone) == hash(u)
+                assert (clone.lo, clone.hi, clone.scale) == (u.lo, u.hi, u.scale)
+
+    @pytest.mark.parametrize(
+        "columns, error",
+        [
+            (((0, 1), (1, 2), 3), ValueError),  # touching parts
+            (((0, 1), (2, 3), 3), ValueError),  # overlapping parts
+            (((2, 0), (3, 1), 3), ValueError),  # unsorted parts
+            (((0,), (-1,), 3), ValueError),  # lo above hi
+            (((0, 1), (1,), 3), ValueError),  # ragged columns
+            (((0,), (1,), 0), ValueError),  # zero scale
+            (((0,), (1,), -3), ValueError),  # negative scale
+            (((0,), (1,)), TypeError),  # two columns
+            (((0,), (1,), 3, 4), TypeError),  # four columns
+        ],
+    )
+    def test_column_checks(self, columns, error):
+        with pytest.raises(error):
+            IntervalUnion(*columns)
+
+    @pytest.mark.parametrize("bad", [F(1, 2), np.int64(1), 1.0])
+    def test_columns_refuse_non_int_entries(self, bad):
+        for columns in (((bad,), (2,), 3), ((0,), (bad,), 3), ((0,), (1,), bad)):
+            with pytest.raises(TypeError):
+                IntervalUnion(*columns)
+
+    @given(
+        st.integers(min_value=-50, max_value=50),
+        st.lists(st.tuples(st.integers(1, 9), st.integers(0, 9)), max_size=24),
+        st.integers(min_value=1, max_value=60),
+    )
+    def test_measure_is_fraction_sum_of_parts(self, start, steps, scale):
+        # each part starts a positive gap after the last one ends, and may
+        # be a single point
+        lo, hi, x = [], [], start
+        for gap, length in steps:
+            lo.append(x + gap)
+            x += gap + length
+            hi.append(x)
+        u = IntervalUnion(lo, hi, scale)
+        assert u.measure == sum((p.length for p in u.parts), F(0))
+        assert u == normalize(u.parts) == IntervalUnion(u.parts)
+
+
 class TestMeasure:
     def test_single_part(self):
         assert measure(normalize([Interval(0, F(2, 3))])) == F(2, 3)

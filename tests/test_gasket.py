@@ -4,11 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from trapmeasure.cantor import slice_set
+from trapmeasure.exact import Interval, normalize
 from trapmeasure.gasket import (
     Direction,
     GasketSpec,
     _anchor_array,
+    _project_exact,
     decay_fit,
     favard,
     gasket_anchors,
@@ -86,6 +90,9 @@ class TestProjection:
     def test_exact_and_numeric_agree(self, depth, slope):
         spec = GasketSpec(depth)
         exact = project(spec, Direction.from_slope(slope))
+        width = max(F(1), slope) / 3**depth
+        shadows = (Interval(x + slope * y, x + slope * y + width) for x, y in gasket_anchors(spec))
+        assert exact.scaled_set == normalize(shadows)
         numeric = project(spec, Direction.from_angle(math.atan(float(slope))))
         assert abs(exact.measure - numeric.measure) <= 1e-9
 
@@ -143,6 +150,64 @@ class TestSortOnlyMerge:
             assert proj.parts == parts
             assert proj.measure == total
             assert all(type(x) is float for part in proj.parts for x in part)
+
+
+def _favard_reference(depth, quad_points):
+    """Favard from the public projection: same multiplicities, same fsum order."""
+    spec = GasketSpec(depth)
+    step = math.pi / quad_points
+    multiplicity = {}
+    for i in range(quad_points):
+        if quad_points % 2 == 0:
+            rep = min(i, (quad_points // 2 - 1 - i) % quad_points)
+        else:
+            rep = i
+        multiplicity[rep] = multiplicity.get(rep, 0) + 1
+    total = math.fsum(
+        project(spec, Direction.from_angle((rep + 0.5) * step)).measure * count
+        for rep, count in sorted(multiplicity.items())
+    )
+    return total / quad_points
+
+
+class TestMeasureOnlyPaths:
+    @pytest.mark.parametrize("depth", range(7))
+    @pytest.mark.parametrize("quad_points", [64, 49])
+    def test_favard_equals_projection_reference_bit_for_bit(self, depth, quad_points):
+        assert favard(GasketSpec(depth), quad_points) == _favard_reference(depth, quad_points)
+
+    def test_lemma1_rows_equal_projection_reference(self):
+        # the grid of `verify lemma1 --depths 1,2,3,4,5,6 --t-points 11`
+        grid = [F(k, 10) for k in range(11)]
+        for depth in range(1, 7):
+            spec = GasketSpec(depth)
+            for row, t in zip(lemma1_check(depth, grid), grid, strict=True):
+                proj = project(spec, Direction.from_angle(math.atan(float((2 - t) / (1 + t)))))
+                rhs = float(1 + t) * proj.measure
+                lhs = slice_set(depth, t).measure
+                assert (row.depth, row.t, row.lhs, row.rhs) == (depth, t, lhs, rhs)
+                assert row.ratio == (float(lhs) / rhs if rhs else math.inf)
+                assert row.ok == (float(lhs) <= rhs + 1e-9)
+
+
+class TestLemma1FiniteDepth:
+    @given(
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=1, max_value=40).flatmap(
+            lambda q: st.tuples(st.integers(min_value=0, max_value=q), st.just(q))
+        ),
+    )
+    def test_half_scaled_projection_below_slice(self, depth, pq):
+        # the slice digits {0, 1+t, 2-t} are (1+t)/2 times the slope-r
+        # projected digits {0, 2, 2r}, with r = (2-t)/(1+t), on the same
+        # anchors, and the projection's width max(1+t, 2-t)/2 * 3^-d is at
+        # most the slice's 3^-d; the literal bound with the true projection
+        # (scaled set times cos phi) fails on some rows and lemma1_check
+        # reports those
+        t = F(*pq)
+        r = (2 - t) / (1 + t)
+        projected = _project_exact(GasketSpec(depth), r).scaled_set.measure
+        assert (1 + t) / 2 * projected <= slice_set(depth, t).measure
 
 
 class TestFavard:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trapmeasure.exact import measure
+from trapmeasure.exact import measure, normalize
 from trapmeasure.permutations import (
     Permutation,
     composite_permutation,
@@ -102,9 +102,12 @@ class TestSlice:
     )
     def test_parts_stay_in_unit_interval(self, image, y):
         n = len(image)
-        u = slice_at(spec_of(image), y)
+        spec = spec_of(image)
+        u = slice_at(spec, y)
         assert all(0 <= p.lo and p.hi <= 1 for p in u.parts)
         assert F(1, n) <= measure(u) <= 1
+        # the integer slice equals the Fraction union of the n strips
+        assert u == normalize(piece.slice_at(y) for piece in spec.parallelograms())
 
 
 class TestSliceProfile:
