@@ -9,18 +9,22 @@ its exact integral.
 
 The sweep finds every height where two endpoint lines cross or come
 within one interval width of each other (the only places the measure's
-slope can change), evaluates the slice measure exactly there, and feeds
-the resulting profile to the exact trapezoid rule, summed by parts per
-distinct denominator into a single Fraction.  Endpoints at a fixed
-rational height y = p/q share the denominator n*q, so each evaluation is
-pure integer work, and the profile keeps those integers as they are
-(heights p/q, values t/(n*q)) with no Fraction built per breakpoint.
-Above n = 8 (the measured crossover, ``_VECTOR_CUTOFF``) the same
-arithmetic runs through numpy in cache-sized blocks, in int32 when
-q*(n + max|d|) < 2^30 bounds every endpoint and gap, else in int64
-(refused at 2^62).  Candidate heights are reduced p/q with q < 2n, so
+slope can change) and evaluates the slice measure exactly there.
+Endpoints at a fixed rational height y = p/q share the denominator n*q,
+so each evaluation is pure integer work, and the profile keeps those
+integers as they are (heights p/q, values t/(n*q)) with no Fraction
+built per breakpoint.  Above n = 8 (the measured crossover,
+``_VECTOR_CUTOFF``) the same arithmetic runs through numpy in cache-sized
+blocks, in int32 when q*(n + max|d|) < 2^30 bounds every endpoint and
+gap, else in int64 (refused at 2^62).  Candidate heights are reduced p/q with q < 2n, so
 distinct ones differ by more than 1/(4n^2) and both paths sort them by
 float value, with a cross-multiplied check that the order is strict.
+
+A self-inverse permutation (every digit-swap and composite one) has a
+profile symmetric about y = 1/2, so only its lower half is swept.  n
+times the slice measure has integer slopes, so ``area`` integrates from
+the slope changes: int64 work per breakpoint, Python ints per distinct
+q, and one Fraction, for n up to ``SLOPE_MAX_N`` (27,554).
 
 ``FareyGrid`` scores many permutations of one n at once for exhaustive
 search: the same integer slice totals, taken on the one grid of heights
@@ -33,7 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
+from operator import sub
 
 import numpy as np
 
@@ -44,7 +49,6 @@ from .exact import (
     Rational,
     RationalLike,
     as_rational,
-    integrate_plp,
     merge_ints,
 )
 from .permutations import Permutation, composite_plan, composite_permutation, digit_swap_permutation
@@ -234,6 +238,22 @@ def _slice_totals(n: int, disp: list[int], nums: list[int], dens: list[int]) -> 
     return out.tolist()
 
 
+def _mirrored_totals(n: int, disp: list[int], nums: list[int], dens: list[int]) -> list[int]:
+    """``_slice_totals`` of a self-inverse permutation, swept at y <= 1/2 only.
+
+    Turning the trapezoid of sigma upside down gives the trapezoid of
+    sigma^-1, so when the two are equal the slice at 1 - p/q is the slice
+    at p/q: the same union over the same n*q, hence the same total.  The
+    candidate list is then its own mirror, which is checked first.
+    """
+    if dens != dens[::-1] or nums[::-1] != list(map(sub, dens, nums)):
+        raise AssertionError("breakpoints of a self-inverse permutation are not mirror-symmetric")
+    # the first ceil(K/2) heights are those <= 1/2 (each swapped pair crosses at 1/2)
+    half = (len(nums) + 1) // 2
+    lower = _slice_totals(n, disp, nums[:half], dens[:half])
+    return lower + lower[: len(nums) - half][::-1]
+
+
 def slice_profile(spec: TrapezoidSpec) -> PiecewiseLinearProfile:
     """Slice measure as an exact piecewise-linear function of height.
 
@@ -241,12 +261,17 @@ def slice_profile(spec: TrapezoidSpec) -> PiecewiseLinearProfile:
     between consecutive breakpoints the interval order and overlap
     pattern are constant, so the measure is linear there.  The value at
     each breakpoint is recomputed from scratch, which makes coincident
-    crossings harmless.
+    crossings harmless.  When sigma is its own inverse (every digit-swap
+    and composite permutation) the profile is symmetric about y = 1/2,
+    and only the lower half of the heights is swept.
     """
     n = spec.n
     disp = _displacements(spec)
     nums, dens = _interior_breakpoints(n, disp)
-    totals = _slice_totals(n, disp, nums, dens)
+    if spec.sigma.inverse() == spec.sigma:
+        totals = _mirrored_totals(n, disp, nums, dens)
+    else:
+        totals = _slice_totals(n, disp, nums, dens)
     # breakpoint k sits at (p/q, t/(n q)); the ends are (0, 1) and (1, 1).
     # A plain constructor call: the benchmark's traced runs replace the
     # class name with a wrapper function, so a classmethod would break.
@@ -255,10 +280,56 @@ def slice_profile(spec: TrapezoidSpec) -> PiecewiseLinearProfile:
     )
 
 
+# Largest n whose slope integration fits int64: with t <= n*q and q < 2n,
+# the slope numerators stay below 8n^3, the slopes below 2n^2 (n components,
+# each end moving by at most n - 1) and the summed slope changes times p^2
+# below 16n^4, which is below 2^63 iff n^4 < 2^59.
+SLOPE_MAX_N = isqrt(isqrt(2**59 - 1))
+
+
+def _integrate_slopes(n: int, profile: PiecewiseLinearProfile) -> Rational:
+    """Exact integral of a ``slice_profile`` from its integer slope changes.
+
+    Between breakpoints, n times the slice measure is A_k + B_k*y with
+    integers A_k, B_k: each connected component of the slice spans
+    (j0 + d*y)/n end lines.  At y_k = p_k/q_k it is t_k/q_k (value
+    t_k/(n q_k) inside, 1 at the ends), so
+    B_k = (t_(k+1) q_k - t_k q_(k+1)) / (p_(k+1) q_k - p_k q_(k+1)),
+    computed in int64 and checked to divide exactly.  Integrating by parts
+    against the value 1 at y = 1 gives
+    area = 1 - B_last/(2n) + 1/(2n) * sum_k (B_k - B_(k-1)) p_k^2/q_k^2.
+    The slope changes times p^2 are summed per distinct q (q < 2n) as
+    Python ints, and one Fraction over 2n*lcm(q)^2 is built.
+    """
+    p = np.array(profile.y_num, dtype=np.int64)
+    q = np.array(profile.y_den, dtype=np.int64)
+    t = np.array(profile.v_num, dtype=np.int64)
+    t[0] = t[-1] = n
+    slopes, rem = np.divmod(t[1:] * q[:-1] - t[:-1] * q[1:], p[1:] * q[:-1] - p[:-1] * q[1:])
+    if rem.any():
+        raise AssertionError("slice totals give a non-integer slope")
+    change = np.diff(slopes)
+    hit = np.flatnonzero(change)
+    acc: dict[int, int] = {}
+    for den, term in zip(q[1:-1][hit].tolist(), (change[hit] * p[1:-1][hit] ** 2).tolist()):
+        acc[den] = acc.get(den, 0) + term
+    scale = lcm(*acc)
+    total = sum(num * (scale // den) ** 2 for den, num in acc.items())
+    scale *= scale
+    return Fraction((2 * n - int(slopes[-1])) * scale + total, 2 * n * scale)
+
+
 @lru_cache(maxsize=256)
 def area(spec: TrapezoidSpec) -> Rational:
-    """Exact two-dimensional measure of the trapezoid, in [1/n, 1]."""
-    return integrate_plp(slice_profile(spec))
+    """Exact two-dimensional measure of the trapezoid, in [1/n, 1].
+
+    The slice profile integrated from its integer slope changes; equal
+    to ``integrate_plp(slice_profile(spec))``.  n above ``SLOPE_MAX_N``
+    is refused before any sweep.
+    """
+    if spec.n > SLOPE_MAX_N:
+        raise ValueError(f"n={spec.n} is above {SLOPE_MAX_N}: exact area integration would overflow int64")
+    return _integrate_slopes(spec.n, slice_profile(spec))
 
 
 def _sorting_network(n: int) -> tuple[tuple[int, int], ...]:

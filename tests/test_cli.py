@@ -157,6 +157,20 @@ class TestExitCodes:
         assert time.perf_counter() - started < 5
         assert "overflow" in capsys.readouterr().err
 
+    def test_area_integration_limit_exits_at_once(self, capsys, monkeypatch):
+        import trapmeasure.cli as cli_module
+
+        def no_sweep(*args):
+            raise RuntimeError("the sweep started")
+
+        # a missing guard turns into exit 2 here, not hours of sweeping
+        monkeypatch.setattr(cli_module.trap_mod, "_interior_breakpoints", no_sweep)
+        n = cli_module.trap_mod.SLOPE_MAX_N + 1
+        started = time.perf_counter()
+        assert main(["area", "--n", str(n), "--perm", "reversal"]) == 1
+        assert time.perf_counter() - started < 5
+        assert "overflow int64" in capsys.readouterr().err
+
     def test_budget_below_seed_count(self, capsys):
         assert main(["alpha", "--n", "2", "--heuristic", "--budget", "1", "--seed", "1"]) == 1
         assert "budget" in capsys.readouterr().err

@@ -17,7 +17,7 @@ from trapmeasure.exact import (
     normalize,
 )
 from trapmeasure.permutations import Permutation, composite_permutation, digit_swap_permutation
-from trapmeasure.trapezoid import TrapezoidSpec, slice_profile
+from trapmeasure.trapezoid import TrapezoidSpec, _integrate_slopes, slice_profile
 
 F = Fraction
 
@@ -418,18 +418,36 @@ def integrate_plp_lcm_reference(profile):
 
 class TestIntegrationByParts:
     @staticmethod
-    def profiles():
-        yield PiecewiseLinearProfile(((0, F(3, 7)), (1, F(5, 11))))
+    def specs():
         for m in range(6):
-            yield slice_profile(TrapezoidSpec(3**m, digit_swap_permutation(m)))
-        yield slice_profile(TrapezoidSpec(100, composite_permutation(100)))
+            yield TrapezoidSpec(3**m, digit_swap_permutation(m))
+        yield TrapezoidSpec(100, composite_permutation(100))
         rng = random.Random(5)
         for _ in range(20):
             n = rng.randint(1, 120)
             image = list(range(1, n + 1))
             rng.shuffle(image)
-            yield slice_profile(TrapezoidSpec(n, Permutation(tuple(image))))
+            yield TrapezoidSpec(n, Permutation(tuple(image)))
+
+    @classmethod
+    def profiles(cls):
+        yield PiecewiseLinearProfile(((0, F(3, 7)), (1, F(5, 11))))
+        for spec in cls.specs():
+            yield slice_profile(spec)
 
     def test_matches_lcm_scaled_trapezoid_sum(self):
         for profile in self.profiles():
             assert integrate_plp(profile) == integrate_plp_lcm_reference(profile)
+
+    def test_slope_integration_matches_trapezoid_rule(self):
+        # every slice profile of profiles(); the hand-built first one has
+        # no strip count n and no integer slopes
+        for spec in self.specs():
+            profile = slice_profile(spec)
+            assert _integrate_slopes(spec.n, profile) == integrate_plp(profile)
+
+    @given(st.integers(1, 40).flatmap(lambda n: st.permutations(range(1, n + 1))))
+    def test_slope_integration_matches_on_random_permutations(self, image):
+        spec = TrapezoidSpec(len(image), Permutation(tuple(image)))
+        profile = slice_profile(spec)
+        assert _integrate_slopes(spec.n, profile) == integrate_plp(profile)

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
 from itertools import permutations as itertools_permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trapmeasure.exact import measure, normalize
+from trapmeasure.exact import PiecewiseLinearProfile, measure, normalize
 from trapmeasure.permutations import (
     Permutation,
     composite_permutation,
@@ -284,6 +285,140 @@ class TestSliceTotals:
         assert numpy_totals == slice_totals_on_path(monkeypatch, 10**9, *args)
 
 
+def random_involution(rng, n):
+    image = list(range(1, n + 1))
+    free = list(range(n))
+    rng.shuffle(free)
+    for a, b in zip(free[0::2], free[1::2]):
+        if rng.random() < 0.8:
+            image[a], image[b] = b + 1, a + 1
+    return Permutation(tuple(image))
+
+
+def full_and_mirrored_totals(spec):
+    assert spec.sigma.inverse() == spec.sigma
+    disp = trapezoid._displacements(spec)
+    nums, dens = trapezoid._interior_breakpoints(spec.n, disp)
+    args = (spec.n, disp, nums, dens)
+    return trapezoid._slice_totals(*args), trapezoid._mirrored_totals(*args)
+
+
+class TestMirroredTotals:
+    def test_every_involution_up_to_eight(self):
+        seen = 0
+        for n in range(1, 9):
+            for image in itertools_permutations(range(1, n + 1)):
+                spec = spec_of(image)
+                if spec.sigma.inverse() == spec.sigma:
+                    full, mirrored = full_and_mirrored_totals(spec)
+                    assert mirrored == full
+                    seen += 1
+        assert seen == 1115
+
+    def test_random_involutions_up_to_300(self):
+        rng = random.Random(31)
+        for n in [9, 10, 49, 300] + [rng.randint(9, 300) for _ in range(16)]:
+            full, mirrored = full_and_mirrored_totals(TrapezoidSpec(n, random_involution(rng, n)))
+            assert mirrored == full
+
+    def test_digit_swap_and_composite_families(self):
+        specs = [TrapezoidSpec(3**m, digit_swap_permutation(m)) for m in range(6)]
+        specs += [TrapezoidSpec(n, composite_permutation(n)) for n in range(1, 101)]
+        for spec in specs:
+            full, mirrored = full_and_mirrored_totals(spec)
+            assert mirrored == full
+
+    def test_profile_sweeps_only_the_lower_half(self, monkeypatch):
+        spec = TrapezoidSpec(27, digit_swap_permutation(3))
+        full, _ = full_and_mirrored_totals(spec)
+        swept = []
+        sweep = trapezoid._slice_totals
+
+        def recording(n, disp, nums, dens):
+            swept.extend(zip(nums, dens))
+            return sweep(n, disp, nums, dens)
+
+        monkeypatch.setattr(trapezoid, "_slice_totals", recording)
+        profile = slice_profile(spec)
+        assert list(profile.v_num[1:-1]) == full
+        assert swept and all(2 * p <= q for p, q in swept)
+        assert len(swept) == (len(full) + 1) // 2
+
+    def test_asymmetric_candidates_refused(self, monkeypatch):
+        spec = TrapezoidSpec(27, digit_swap_permutation(3))
+        points = trapezoid._interior_breakpoints
+
+        def forged(n, disp):
+            nums, dens = points(n, disp)
+            return nums[1:], dens[1:]
+
+        monkeypatch.setattr(trapezoid, "_interior_breakpoints", forged)
+        with pytest.raises(AssertionError, match="mirror-symmetric"):
+            slice_profile(spec)
+        # same denominators, one numerator moved off its mirror image
+        with pytest.raises(AssertionError, match="mirror-symmetric"):
+            trapezoid._mirrored_totals(3, [1, 0, -1], [1, 2], [4, 4])
+
+
+class TestSlopeIntegration:
+    @staticmethod
+    def specs():
+        rng = random.Random(41)
+        for n in (1, 2, 3, 12, 40, 200):
+            yield TrapezoidSpec(n, reversal(n))
+            image = list(range(1, n + 1))
+            rng.shuffle(image)
+            yield spec_of(image)
+        for m in range(5):
+            yield TrapezoidSpec(3**m, digit_swap_permutation(m))
+
+    def test_int64_bounds_hold(self):
+        # the bounds behind SLOPE_MAX_N, checked in Python ints
+        for spec in self.specs():
+            n, profile = spec.n, slice_profile(spec)
+            p, q, t = profile.y_num, profile.y_den, (n, *profile.v_num[1:-1], n)
+            cross = [t[k + 1] * q[k] - t[k] * q[k + 1] for k in range(len(p) - 1)]
+            assert max(map(abs, cross)) < 8 * n**3
+            slopes = [c // (p[k + 1] * q[k] - p[k] * q[k + 1]) for k, c in enumerate(cross)]
+            assert max(map(abs, slopes)) < 2 * n**2
+            terms = [(b - a) * p[k + 1] ** 2 for k, (a, b) in enumerate(zip(slopes, slopes[1:]))]
+            assert max(map(abs, terms), default=0) < 16 * n**4
+
+    def test_inconsistent_totals_refused(self):
+        # a total changed by one at y_k changes the slope numerators next
+        # to it by q_(k-1) and q_(k+1); where a slope denominator does not
+        # divide that change, the slope stops being an integer
+        spec = TrapezoidSpec(9, digit_swap_permutation(2))
+        profile = slice_profile(spec)
+        p, q = profile.y_num, profile.y_den
+        caught = 0
+        for k in range(1, len(p) - 1):
+            before = p[k] * q[k - 1] - p[k - 1] * q[k]
+            after = p[k + 1] * q[k] - p[k] * q[k + 1]
+            if q[k - 1] % before == 0 and q[k + 1] % after == 0:
+                continue
+            v_num = list(profile.v_num)
+            v_num[k] += 1
+            corrupt = PiecewiseLinearProfile(p, q, v_num, profile.v_den)
+            with pytest.raises(AssertionError, match="non-integer slope"):
+                trapezoid._integrate_slopes(spec.n, corrupt)
+            caught += 1
+        assert caught > 0
+
+    def test_int64_limit_boundary(self, monkeypatch):
+        def no_sweep(*args):
+            raise RuntimeError("the sweep started")
+
+        # the largest n reaches the sweep; one more is refused before it
+        monkeypatch.setattr(trapezoid, "_interior_breakpoints", no_sweep)
+        n = trapezoid.SLOPE_MAX_N
+        assert 16 * n**4 < 2**63 <= 16 * (n + 1) ** 4
+        with pytest.raises(RuntimeError, match="the sweep started"):
+            area(TrapezoidSpec(n, reversal(n)))
+        with pytest.raises(ValueError, match="overflow int64"):
+            area(TrapezoidSpec(n + 1, reversal(n + 1)))
+
+
 class TestAreaCrossValidation:
     def test_exhaustive_small_n(self):
         for n in range(1, 6):
@@ -319,6 +454,13 @@ class TestAreaCrossValidation:
         assert area(TrapezoidSpec(27, digit_swap_permutation(3))) == F(
             939529831, 1428499800
         )
+
+    def test_digit_swap_order_seven_pinned(self):
+        # 330,709 breakpoints, swept from the lower half and integrated
+        # from slope changes; the value was computed by the earlier
+        # full sweep with integrate_plp
+        pinned = F((Path(__file__).parent / "data" / "area_digit_swap_7.txt").read_text().strip())
+        assert area.__wrapped__(TrapezoidSpec(3**7, digit_swap_permutation(7))) == pinned
 
 
 def grid_areas(n, images):
