@@ -57,16 +57,62 @@ GOLDEN_CASES = {
     "verify_weighted_sum_4.csv": (["verify", "weighted-sum", "--n", "4"], 0),
     "render_trapezoid_3.svg": (["render", "trapezoid", "--n", "3", "--perm", "1,3,2"], 0),
     "render_gasket_1.svg": (["render", "gasket", "--depth", "1"], 0),
+    # every remaining command x format pair, and the stderr summaries
+    "slice_3_132_half.csv": (
+        ["slice", "--n", "3", "--perm", "1,3,2", "--y", "1/2", "--format", "csv"],
+        0,
+    ),
+    "alpha_3.txt": (["alpha", "--n", "3", "--workers", "1", "--format", "text"], 0),
+    "alpha_scan_4.txt": (["alpha-scan", "--max-n", "4", "--workers", "1", "--format", "text"], 0),
+    "alpha_scan_5.csv": (
+        [
+            "alpha-scan",
+            "--max-n",
+            "5",
+            "--exhaustive-limit",
+            "4",
+            "--budget",
+            "50",
+            "--seed",
+            "0",
+            "--workers",
+            "1",
+        ],
+        0,
+    ),
+    "sigma3_3.txt": (["sigma3", "--max-m", "3", "--format", "text"], 0),
+    "sigma_n_10.txt": (["sigma-n", "--n", "10", "--format", "text"], 0),
+    "cantor_half_d6.json": (["cantor", "--t", "1/2", "--depth", "6", "--format", "json"], 0),
+    "slice_measure_quarter.csv": (["slice-measure", "--t", "1/4", "--format", "csv"], 0),
+    "favard_0_1024.csv": (
+        ["favard", "--depth", "0", "--quad-points", "1024", "--format", "csv"],
+        0,
+    ),
+    "verify_lemma1_d1.json": (
+        ["verify", "lemma1", "--depths", "1", "--t-points", "5", "--format", "json"],
+        3,
+    ),
+    "verify_lemma1_d1.txt": (
+        ["verify", "lemma1", "--depths", "1", "--t-points", "5", "--format", "text"],
+        3,
+    ),
+    "verify_lemma2_default.json": (["verify", "lemma2", "--format", "json"], 0),
+    "verify_lemma2_default.txt": (["verify", "lemma2", "--format", "text"], 0),
+    "verify_weighted_sum_4.json": (["verify", "weighted-sum", "--n", "4", "--format", "json"], 0),
+    "verify_weighted_sum_4.txt": (["verify", "weighted-sum", "--n", "4", "--format", "text"], 0),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_golden(name, capsys):
+    # stderr is pinned by <name>.stderr where the command writes any
     argv, expected_code = GOLDEN_CASES[name]
     code = main(argv)
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
     assert code == expected_code
-    assert out == (GOLDEN_DIR / name).read_text()
+    assert captured.out == (GOLDEN_DIR / name).read_text()
+    err_path = GOLDEN_DIR / f"{name}.stderr"
+    assert captured.err == (err_path.read_text() if err_path.exists() else "")
 
 
 @pytest.mark.parametrize(
