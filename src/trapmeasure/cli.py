@@ -1,5 +1,12 @@
 """Command-line driver: every operation, emitting text, CSV, JSON, or SVG.
 
+Each subcommand computes its result once, and one writer renders the
+form ``--format`` names, to stdout or to ``--out``.  The table commands
+(``alpha-scan``, ``sigma3``, ``sigma-n`` and ``verify``) have no text form
+of their own, so ``--format text`` prints their CSV table.  Summaries on
+stderr follow the text and CSV forms only; the JSON form carries them in
+its payload.  ``render`` writes SVG.
+
 Exit codes: 0 success, 1 invalid input, 2 internal failure, 3 when a
 ``verify`` subcommand records a violated row.  All outputs are
 deterministic for a fixed command line (and seed), so they can be pinned
@@ -15,6 +22,7 @@ import json
 import math
 import sys
 import traceback
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cantor as cantor_mod
@@ -37,12 +45,29 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+@dataclass
+class _Output:
+    """One command's result in every form it has; ``_write`` renders it."""
+
+    header: list[str] | None = None
+    rows: list[list[str]] | None = None
+    payload: object = None
+    text: str | None = None  # None: the text form is the CSV table
+    notes: tuple[str, ...] = ()  # stderr lines, after the text and CSV forms
+    code: int = 0
+
+
 def _decimal(value) -> str:
     return f"{float(value):.15g}"
 
 
-def _frac_str(value: Fraction) -> str:
-    return str(value)
+def _ratio(value: Fraction) -> list[str]:
+    """The numerator, denominator and decimal cells of an exact value."""
+    return [str(value.numerator), str(value.denominator), _decimal(value)]
+
+
+def _fit_payload(fit: gasket_mod.DecayFit | None) -> dict | None:
+    return None if fit is None else {"c": fit.c, "p": fit.p, "residual": fit.residual}
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -77,92 +102,79 @@ def _parse_int_list(text: str) -> list[int]:
         raise CliError(f"cannot parse integer list {text!r}") from None
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
+def _write(args, result: _Output) -> int:
+    """Render ``result`` in the requested format; return its exit code."""
+    fmt = getattr(args, "format", "text")  # render has no --format: SVG text
+    if fmt == "json":
+        text = json.dumps(result.payload, indent=2) + "\n"
+    elif fmt == "csv" or result.text is None:
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(result.header)
+        writer.writerows(result.rows)
+        text = buffer.getvalue()
+    else:
+        text = result.text
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-
-
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    if fmt != "json":
+        for note in result.notes:
+            print(note, file=sys.stderr)
+    return result.code
 
 
 # ---------------------------------------------------------------- subcommands
 
 
-def _cmd_area(args) -> int:
+def _cmd_area(args) -> _Output:
     spec = trap_mod.TrapezoidSpec(args.n, _parse_perm(args.perm, args.n))
     value = trap_mod.area(spec)
-    if args.format == "text":
-        _emit(f"{value} ≈ {float(value):.6f}\n", args.out)
-    elif args.format == "json":
-        _emit(
-            _json_text(
-                {
-                    "n": args.n,
-                    "perm": str(spec.sigma),
-                    "area": _frac_str(value),
-                    "area_decimal": _decimal(value),
-                }
-            ),
-            args.out,
-        )
-    else:
-        _emit(
-            _csv_text(
-                ["n", "perm", "area_num", "area_den", "area_decimal"],
-                [[str(args.n), str(spec.sigma), str(value.numerator), str(value.denominator), _decimal(value)]],
-            ),
-            args.out,
-        )
-    return 0
+    return _Output(
+        header=["n", "perm", "area_num", "area_den", "area_decimal"],
+        rows=[[str(args.n), str(spec.sigma), *_ratio(value)]],
+        payload={"n": args.n, "perm": str(spec.sigma), "area": str(value), "area_decimal": _decimal(value)},
+        text=f"{value} ≈ {float(value):.6f}\n",
+    )
 
 
-def _cmd_slice(args) -> int:
+def _cmd_slice(args) -> _Output:
     spec = trap_mod.TrapezoidSpec(args.n, _parse_perm(args.perm, args.n))
     y = _parse_rational(args.y)
     union = trap_mod.slice_at(spec, y)
     total = measure(union)
-    if args.format == "text":
-        parts = " ∪ ".join(f"[{p.lo}, {p.hi}]" for p in union.parts) or "(empty)"
-        _emit(f"{parts}\nmeasure {total} ≈ {float(total):.6f}\n", args.out)
-    elif args.format == "json":
-        _emit(
-            _json_text(
-                {
-                    "n": args.n,
-                    "perm": str(spec.sigma),
-                    "y": _frac_str(y),
-                    "parts": [[_frac_str(p.lo), _frac_str(p.hi)] for p in union.parts],
-                    "measure": _frac_str(total),
-                    "measure_decimal": _decimal(total),
-                }
-            ),
-            args.out,
-        )
-    else:
-        rows = [
+    parts = " ∪ ".join(f"[{p.lo}, {p.hi}]" for p in union.parts) or "(empty)"
+    return _Output(
+        header=["part", "lo_num", "lo_den", "hi_num", "hi_den"],
+        rows=[
             [str(i), str(p.lo.numerator), str(p.lo.denominator), str(p.hi.numerator), str(p.hi.denominator)]
             for i, p in enumerate(union.parts)
-        ]
-        _emit(_csv_text(["part", "lo_num", "lo_den", "hi_num", "hi_den"], rows), args.out)
-    return 0
+        ],
+        payload={
+            "n": args.n,
+            "perm": str(spec.sigma),
+            "y": str(y),
+            "parts": [[str(p.lo), str(p.hi)] for p in union.parts],
+            "measure": str(total),
+            "measure_decimal": _decimal(total),
+        },
+        text=f"{parts}\nmeasure {total} ≈ {float(total):.6f}\n",
+    )
+
+
+_ALPHA_COLUMNS = ["n", "alpha_num", "alpha_den", "alpha_decimal", "argmin", "mode", "perms_evaluated"]
+
+
+def _record_row(record: search_mod.AlphaRecord) -> list[str]:
+    return [str(record.n), *_ratio(record.alpha), str(record.argmin), record.mode, str(record.perms_evaluated)]
 
 
 def _record_payload(record: search_mod.AlphaRecord, timing: bool) -> dict:
     payload = {
         "n": record.n,
-        "alpha": _frac_str(record.alpha),
+        "alpha": str(record.alpha),
         "alpha_decimal": _decimal(record.alpha),
         "argmin": str(record.argmin),
         "mode": record.mode,
@@ -173,22 +185,7 @@ def _record_payload(record: search_mod.AlphaRecord, timing: bool) -> dict:
     return payload
 
 
-def _record_csv_row(record: search_mod.AlphaRecord) -> list[str]:
-    return [
-        str(record.n),
-        str(record.alpha.numerator),
-        str(record.alpha.denominator),
-        _decimal(record.alpha),
-        str(record.argmin),
-        record.mode,
-        str(record.perms_evaluated),
-    ]
-
-
-_ALPHA_COLUMNS = ["n", "alpha_num", "alpha_den", "alpha_decimal", "argmin", "mode", "perms_evaluated"]
-
-
-def _cmd_alpha(args) -> int:
+def _cmd_alpha(args) -> _Output:
     if args.heuristic:
         record = search_mod.alpha_heuristic(args.n, budget=args.budget, seed=args.seed)
     else:
@@ -198,20 +195,16 @@ def _cmd_alpha(args) -> int:
             workers=args.workers,
             force=args.force,
         )
-    if args.format == "json":
-        _emit(_json_text(_record_payload(record, args.timing)), args.out)
-    elif args.format == "csv":
-        _emit(_csv_text(_ALPHA_COLUMNS, [_record_csv_row(record)]), args.out)
-    else:
-        _emit(
-            f"alpha({record.n}) = {record.alpha} ≈ {float(record.alpha):.6f} "
-            f"argmin {record.argmin} ({record.mode}, {record.perms_evaluated} evaluated)\n",
-            args.out,
-        )
-    return 0
+    return _Output(
+        header=_ALPHA_COLUMNS,
+        rows=[_record_row(record)],
+        payload=_record_payload(record, args.timing),
+        text=f"alpha({record.n}) = {record.alpha} ≈ {float(record.alpha):.6f} "
+        f"argmin {record.argmin} ({record.mode}, {record.perms_evaluated} evaluated)\n",
+    )
 
 
-def _cmd_alpha_scan(args) -> int:
+def _cmd_alpha_scan(args) -> _Output:
     report = search_mod.alpha_scan(
         args.max_n,
         exhaustive_limit=args.exhaustive_limit,
@@ -220,316 +213,192 @@ def _cmd_alpha_scan(args) -> int:
         workers=args.workers,
     )
     fit = report.upper_bound_fit
-    if args.format == "json":
-        payload = {
+    notes = [f"monotonicity violated: alpha({b}) > alpha({a})" for a, b in report.violations]
+    if not notes:
+        notes.append("monotonicity: no violations among exact values")
+    notes += [f"c-estimate n={n}: alpha*log(n) = {value:.6f}" for n, value in report.c_estimates]
+    if fit is not None:
+        notes.append(f"upper-bound fit vs log(n): p={fit.p:.6f} c={fit.c:.6f} residual={fit.residual:.3g}")
+    return _Output(
+        header=_ALPHA_COLUMNS,
+        rows=[_record_row(r) for r in report.records],
+        payload={
             "records": [_record_payload(r, args.timing) for r in report.records],
             "monotonicity_violations": [list(v) for v in report.violations],
-            "c_estimates": [
-                {"n": n, "alpha_times_log_n": value} for n, value in report.c_estimates
-            ],
-            "upper_bound_fit": None
-            if fit is None
-            else {"c": fit.c, "p": fit.p, "residual": fit.residual},
-        }
-        _emit(_json_text(payload), args.out)
-    else:
-        rows = [_record_csv_row(r) for r in report.records]
-        _emit(_csv_text(_ALPHA_COLUMNS, rows), args.out)
-        if report.violations:
-            for a, b in report.violations:
-                print(f"monotonicity violated: alpha({b}) > alpha({a})", file=sys.stderr)
-        else:
-            print("monotonicity: no violations among exact values", file=sys.stderr)
-        for n, value in report.c_estimates:
-            print(f"c-estimate n={n}: alpha*log(n) = {value:.6f}", file=sys.stderr)
-        if fit is not None:
-            print(
-                f"upper-bound fit vs log(n): p={fit.p:.6f} c={fit.c:.6f} residual={fit.residual:.3g}",
-                file=sys.stderr,
-            )
-    return 0
+            "c_estimates": [{"n": n, "alpha_times_log_n": value} for n, value in report.c_estimates],
+            "upper_bound_fit": _fit_payload(fit),
+        },
+        notes=tuple(notes),
+    )
 
 
-def _cmd_sigma3(args) -> int:
+def _cmd_sigma3(args) -> _Output:
     rows = []
+    entries = []
     pairs = []
     for m in range(1, args.max_m + 1):
         value = trap_mod.area(trap_mod.TrapezoidSpec(3**m, digit_swap_permutation(m)))
         pairs.append((m, float(value)))
-        rows.append([str(m), str(3**m), str(value.numerator), str(value.denominator), _decimal(value)])
-    fit = gasket_mod.decay_fit(pairs) if len(pairs) >= 3 else None
-    if args.format == "json":
-        payload = {
-            "rows": [
-                {"m": int(r[0]), "n": int(r[1]), "area": f"{r[2]}/{r[3]}", "area_decimal": r[4]}
-                for r in rows
-            ],
-            "fit": None if fit is None else {"c": fit.c, "p": fit.p, "residual": fit.residual},
-        }
-        _emit(_json_text(payload), args.out)
-    else:
-        _emit(_csv_text(["m", "n", "area_num", "area_den", "area_decimal"], rows), args.out)
-        if fit is not None:
-            print(
-                f"decay fit: p={fit.p:.6f} c={fit.c:.6f} residual={fit.residual:.3g}",
-                file=sys.stderr,
-            )
-    return 0
-
-
-def _cmd_sigma_n(args) -> int:
-    plan = composite_plan(args.n)
-    perm = composite_permutation(args.n)
-    lhs, rhs = trap_mod.weighted_sum_identity(args.n)
-    payload = {
-        "n": args.n,
-        "digits_base3": "".join(str(d) for d in plan.digits),
-        "blocks": [{"size": size, "count": count} for size, count in plan.blocks],
-        "perm": str(perm),
-        "lhs": _frac_str(lhs),
-        "rhs": _frac_str(rhs),
-        "lhs_decimal": _decimal(lhs),
-        "equal": lhs == rhs,
-    }
-    if args.format == "json":
-        _emit(_json_text(payload), args.out)
-    else:
-        _emit(
-            _csv_text(
-                ["n", "digits_base3", "lhs_num", "lhs_den", "rhs_num", "rhs_den", "equal"],
-                [
-                    [
-                        str(args.n),
-                        payload["digits_base3"],
-                        str(lhs.numerator),
-                        str(lhs.denominator),
-                        str(rhs.numerator),
-                        str(rhs.denominator),
-                        str(lhs == rhs).lower(),
-                    ]
-                ],
-            ),
-            args.out,
+        rows.append([str(m), str(3**m), *_ratio(value)])
+        entries.append(
+            {"m": m, "n": 3**m, "area": f"{value.numerator}/{value.denominator}", "area_decimal": _decimal(value)}
         )
-    return 0
+    fit = gasket_mod.decay_fit(pairs) if len(pairs) >= 3 else None
+    return _Output(
+        header=["m", "n", "area_num", "area_den", "area_decimal"],
+        rows=rows,
+        payload={"rows": entries, "fit": _fit_payload(fit)},
+        notes=() if fit is None else (f"decay fit: p={fit.p:.6f} c={fit.c:.6f} residual={fit.residual:.3g}",),
+    )
 
 
-def _cmd_cantor(args) -> int:
+def _cmd_sigma_n(args) -> _Output:
+    plan = composite_plan(args.n)
+    lhs, rhs = trap_mod.weighted_sum_identity(args.n)
+    digits = "".join(str(d) for d in plan.digits)
+    return _Output(
+        header=["n", "digits_base3", "lhs_num", "lhs_den", "rhs_num", "rhs_den", "equal"],
+        rows=[
+            [
+                str(args.n),
+                digits,
+                str(lhs.numerator),
+                str(lhs.denominator),
+                str(rhs.numerator),
+                str(rhs.denominator),
+                str(lhs == rhs).lower(),
+            ]
+        ],
+        payload={
+            "n": args.n,
+            "digits_base3": digits,
+            "blocks": [{"size": size, "count": count} for size, count in plan.blocks],
+            "perm": str(composite_permutation(args.n)),
+            "lhs": str(lhs),
+            "rhs": str(rhs),
+            "lhs_decimal": _decimal(lhs),
+            "equal": lhs == rhs,
+        },
+    )
+
+
+def _cmd_cantor(args) -> _Output:
     t = _parse_rational(args.t)
     closed = cantor_mod.cantor_measure_closed(t)
     spec = cantor_mod.DigitSetSpec(args.depth, (Fraction(0), Fraction(1), t))
     partial = measure(cantor_mod.partial_cantor(spec))
     excess = partial - closed
-    if args.format == "text":
-        _emit(
-            f"closed-form measure: {closed} ≈ {float(closed):.6f}\n"
-            f"depth-{args.depth} partial measure: {partial} ≈ {float(partial):.6f}\n"
-            f"excess: {excess} ≈ {float(excess):.6g}\n",
-            args.out,
-        )
-    elif args.format == "json":
-        _emit(
-            _json_text(
-                {
-                    "t": _frac_str(t),
-                    "depth": args.depth,
-                    "closed": _frac_str(closed),
-                    "closed_decimal": _decimal(closed),
-                    "partial": _frac_str(partial),
-                    "partial_decimal": _decimal(partial),
-                    "excess_decimal": _decimal(excess),
-                }
-            ),
-            args.out,
-        )
-    else:
-        _emit(
-            _csv_text(
-                [
-                    "t_num",
-                    "t_den",
-                    "depth",
-                    "closed_num",
-                    "closed_den",
-                    "closed_decimal",
-                    "partial_num",
-                    "partial_den",
-                    "partial_decimal",
-                ],
-                [
-                    [
-                        str(t.numerator),
-                        str(t.denominator),
-                        str(args.depth),
-                        str(closed.numerator),
-                        str(closed.denominator),
-                        _decimal(closed),
-                        str(partial.numerator),
-                        str(partial.denominator),
-                        _decimal(partial),
-                    ]
-                ],
-            ),
-            args.out,
-        )
-    return 0
+    return _Output(
+        header=[
+            "t_num",
+            "t_den",
+            "depth",
+            "closed_num",
+            "closed_den",
+            "closed_decimal",
+            "partial_num",
+            "partial_den",
+            "partial_decimal",
+        ],
+        rows=[[str(t.numerator), str(t.denominator), str(args.depth), *_ratio(closed), *_ratio(partial)]],
+        payload={
+            "t": str(t),
+            "depth": args.depth,
+            "closed": str(closed),
+            "closed_decimal": _decimal(closed),
+            "partial": str(partial),
+            "partial_decimal": _decimal(partial),
+            "excess_decimal": _decimal(excess),
+        },
+        text=f"closed-form measure: {closed} ≈ {float(closed):.6f}\n"
+        f"depth-{args.depth} partial measure: {partial} ≈ {float(partial):.6f}\n"
+        f"excess: {excess} ≈ {float(excess):.6g}\n",
+    )
 
 
-def _cmd_slice_measure(args) -> int:
+def _cmd_slice_measure(args) -> _Output:
     t = _parse_rational(args.t)
     value = cantor_mod.slice_measure_closed(t)
-    if args.format == "text":
-        _emit(f"{value} ≈ {float(value):.6f}\n", args.out)
-    elif args.format == "json":
-        _emit(
-            _json_text(
-                {"t": _frac_str(t), "measure": _frac_str(value), "measure_decimal": _decimal(value)}
-            ),
-            args.out,
-        )
-    else:
-        _emit(
-            _csv_text(
-                ["t_num", "t_den", "measure_num", "measure_den", "measure_decimal"],
-                [
-                    [
-                        str(t.numerator),
-                        str(t.denominator),
-                        str(value.numerator),
-                        str(value.denominator),
-                        _decimal(value),
-                    ]
-                ],
-            ),
-            args.out,
-        )
-    return 0
+    return _Output(
+        header=["t_num", "t_den", "measure_num", "measure_den", "measure_decimal"],
+        rows=[[str(t.numerator), str(t.denominator), *_ratio(value)]],
+        payload={"t": str(t), "measure": str(value), "measure_decimal": _decimal(value)},
+        text=f"{value} ≈ {float(value):.6f}\n",
+    )
 
 
-def _cmd_favard(args) -> int:
+def _cmd_favard(args) -> _Output:
     value = gasket_mod.favard(gasket_mod.GasketSpec(args.depth), args.quad_points)
-    if args.format == "text":
-        _emit(f"favard(depth={args.depth}, points={args.quad_points}) = {value:.12f}\n", args.out)
-    elif args.format == "json":
-        _emit(
-            _json_text({"depth": args.depth, "quad_points": args.quad_points, "favard": value}),
-            args.out,
-        )
-    else:
-        _emit(
-            _csv_text(
-                ["depth", "quad_points", "favard"],
-                [[str(args.depth), str(args.quad_points), _decimal(value)]],
-            ),
-            args.out,
-        )
-    return 0
+    return _Output(
+        header=["depth", "quad_points", "favard"],
+        rows=[[str(args.depth), str(args.quad_points), _decimal(value)]],
+        payload={"depth": args.depth, "quad_points": args.quad_points, "favard": value},
+        text=f"favard(depth={args.depth}, points={args.quad_points}) = {value:.12f}\n",
+    )
 
 
-def _cmd_verify_lemma1(args) -> int:
+def _verify_output(header: list[str], rows: list[list[str]], failed: bool) -> _Output:
+    # the JSON form keeps every cell as the string the CSV form writes
+    return _Output(
+        header=header,
+        rows=rows,
+        payload=[dict(zip(header, row)) for row in rows],
+        code=VERIFY_FAILED if failed else 0,
+    )
+
+
+def _cmd_verify_lemma1(args) -> _Output:
     depths = _parse_int_list(args.depths)
     points = args.t_points
     if points < 2:
         raise CliError("need at least 2 grid points")
     grid = [Fraction(k, points - 1) for k in range(points)]
-    rows = []
-    any_violation = False
-    for depth in depths:
-        for row in gasket_mod.lemma1_check(depth, grid):
-            any_violation |= not row.ok
-            rows.append(
-                [
-                    str(row.depth),
-                    str(row.t.numerator),
-                    str(row.t.denominator),
-                    _decimal(row.t),
-                    str(row.lhs.numerator),
-                    str(row.lhs.denominator),
-                    _decimal(row.lhs),
-                    _decimal(row.rhs),
-                    _decimal(row.ratio),
-                    str(row.ok).lower(),
-                ]
-            )
-    header = [
-        "depth",
-        "t_num",
-        "t_den",
-        "t_decimal",
-        "lhs_num",
-        "lhs_den",
-        "lhs_decimal",
-        "rhs",
-        "ratio",
-        "ok",
-    ]
-    if args.format == "json":
-        payload = [
-            dict(zip(header, row)) for row in rows
-        ]
-        _emit(_json_text(payload), args.out)
-    else:
-        _emit(_csv_text(header, rows), args.out)
-    return VERIFY_FAILED if any_violation else 0
+    rows = [row for depth in depths for row in gasket_mod.lemma1_check(depth, grid)]
+    return _verify_output(
+        ["depth", "t_num", "t_den", "t_decimal", "lhs_num", "lhs_den", "lhs_decimal", "rhs", "ratio", "ok"],
+        [
+            [
+                str(row.depth),
+                *_ratio(row.t),
+                *_ratio(row.lhs),
+                _decimal(row.rhs),
+                _decimal(row.ratio),
+                str(row.ok).lower(),
+            ]
+            for row in rows
+        ],
+        not all(row.ok for row in rows),
+    )
 
 
-def _cmd_verify_lemma2(args) -> int:
+def _cmd_verify_lemma2(args) -> _Output:
     p = float(_parse_rational(args.p))
-    n_values = [float(Fraction(part)) for part in args.n_values.split(",")]
-    rows = gasket_mod.lemma2_check(p, n_values)
-    csv_rows = []
+    n_values = [float(_parse_rational(part)) for part in args.n_values.split(",")]
+    cells = []
     any_violation = False
     previous = None
-    for row in rows:
+    for row in gasket_mod.lemma2_check(p, n_values):
         ok = math.isfinite(row.ratio) and row.ratio > 0 and (previous is None or row.ratio <= previous)
         previous = row.ratio
         any_violation |= not ok
-        csv_rows.append(
-            [
-                _decimal(p),
-                _decimal(row.n),
-                _decimal(row.integral),
-                _decimal(row.bound),
-                _decimal(row.ratio),
-                str(ok).lower(),
-            ]
-        )
-    header = ["p", "n", "integral", "bound", "ratio", "ok"]
-    if args.format == "json":
-        _emit(_json_text([dict(zip(header, row)) for row in csv_rows]), args.out)
-    else:
-        _emit(_csv_text(header, csv_rows), args.out)
-    return VERIFY_FAILED if any_violation else 0
+        cells.append([*map(_decimal, (p, row.n, row.integral, row.bound, row.ratio)), str(ok).lower()])
+    return _verify_output(["p", "n", "integral", "bound", "ratio", "ok"], cells, any_violation)
 
 
-def _cmd_verify_weighted_sum(args) -> int:
+def _cmd_verify_weighted_sum(args) -> _Output:
     lhs, rhs = trap_mod.weighted_sum_identity(args.n)
     ok = lhs == rhs
     header = ["n", "lhs_num", "lhs_den", "lhs_decimal", "rhs_num", "rhs_den", "rhs_decimal", "ok"]
-    row = [
-        str(args.n),
-        str(lhs.numerator),
-        str(lhs.denominator),
-        _decimal(lhs),
-        str(rhs.numerator),
-        str(rhs.denominator),
-        _decimal(rhs),
-        str(ok).lower(),
-    ]
-    if args.format == "json":
-        _emit(_json_text(dict(zip(header, row))), args.out)
-    else:
-        _emit(_csv_text(header, [row]), args.out)
-    return 0 if ok else VERIFY_FAILED
+    row = [str(args.n), *_ratio(lhs), *_ratio(rhs), str(ok).lower()]
+    # one check, so the JSON form is one object rather than a list of rows
+    return _Output(header=header, rows=[row], payload=dict(zip(header, row)), code=0 if ok else VERIFY_FAILED)
 
 
-def _cmd_render(args) -> int:
+def _cmd_render(args) -> _Output:
     if args.target == "trapezoid":
         spec = trap_mod.TrapezoidSpec(args.n, _parse_perm(args.perm, args.n))
-        _emit(render_mod.trapezoid_svg(spec), args.out)
-    else:
-        _emit(render_mod.gasket_svg(gasket_mod.GasketSpec(args.depth)), args.out)
-    return 0
+        return _Output(text=render_mod.trapezoid_svg(spec))
+    return _Output(text=render_mod.gasket_svg(gasket_mod.GasketSpec(args.depth)))
 
 
 # --------------------------------------------------------------------- parser
@@ -653,11 +522,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
-    except (CliError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        return _write(args, args.func(args))
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:

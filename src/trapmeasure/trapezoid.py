@@ -13,12 +13,12 @@ slope can change) and evaluates the slice measure exactly there.
 Endpoints at a fixed rational height y = p/q share the denominator n*q,
 so each evaluation is pure integer work, and the profile keeps those
 integers as they are (heights p/q, values t/(n*q)) with no Fraction
-built per breakpoint.  Above n = 8 (the measured crossover,
-``_VECTOR_CUTOFF``) the same arithmetic runs through numpy in cache-sized
+built per breakpoint.  The arithmetic runs through numpy in cache-sized
 blocks, in int32 when q*(n + max|d|) < 2^30 bounds every endpoint and
-gap, else in int64 (refused at 2^62).  Candidate heights are reduced p/q with q < 2n, so
-distinct ones differ by more than 1/(4n^2) and both paths sort them by
-float value, with a cross-multiplied check that the order is strict.
+gap, else in int64 (refused at 2^62).  Candidate heights are reduced p/q
+with q < 2n, so distinct ones differ by more than 1/(4n^2); they are
+sorted by float value, with a cross-multiplied check that the order is
+strict.
 
 A self-inverse permutation (every digit-swap and composite one) has a
 profile symmetric about y = 1/2, so only its lower half is swept.  n
@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 from operator import sub
 
 import numpy as np
@@ -52,13 +52,6 @@ from .exact import (
     merge_ints,
 )
 from .permutations import Permutation, composite_plan, composite_permutation, digit_swap_permutation
-
-# Above this size the per-breakpoint integer sweeps run through numpy: the
-# measured crossover, where numpy's per-call overhead is repaid (random
-# permutations, n = 8: 119 vs 145 us per area; n = 9: a tie; n = 24:
-# 1251 vs 435 us).
-_VECTOR_CUTOFF = 8
-
 
 @dataclass(frozen=True)
 class TrapezoidSpec:
@@ -132,28 +125,6 @@ def _interior_breakpoints(n: int, disp: list[int]) -> tuple[list[int], list[int]
     (L_i = L_j) or differ by exactly one width (L_i = L_j +- 1/n),
     generated pairwise, clipped to (0, 1), and deduplicated exactly.
     """
-    if n <= _VECTOR_CUTOFF:
-        cands: set[tuple[int, int]] = set()
-        for i in range(n):
-            di = disp[i]
-            for j in range(i + 1, n):
-                den = di - disp[j]
-                if not den:
-                    continue
-                base = j - i
-                for num in (base, base + 1, base - 1):
-                    p, q = (num, den) if den > 0 else (-num, -den)
-                    if 0 < p < q:
-                        g = gcd(p, q)
-                        cands.add((p // g, q // g))
-        # distinct p/q with q < 2n differ by more than 1/(4n^2), far above
-        # double rounding, so the float sort is exact; the guard checks it
-        ordered = sorted(cands, key=lambda pq: pq[0] / pq[1])
-        for (p0, q0), (p1, q1) in zip(ordered, ordered[1:]):
-            if p0 * q1 >= p1 * q0:
-                raise AssertionError("breakpoint ordering lost exactness")
-        return [p for p, _ in ordered], [q for _, q in ordered]
-
     d = np.asarray(disp, dtype=np.int64)
     cols = np.arange(n, dtype=np.int64)
     # pair generation in row slabs keeps peak memory flat for large n;
@@ -198,20 +169,6 @@ def _slice_totals(n: int, disp: list[int], nums: list[int], dens: list[int]) -> 
     """
     if not nums:
         return []
-    if n <= _VECTOR_CUTOFF:
-        totals = []
-        cols = list(enumerate(disp))
-        for p, q in zip(nums, dens):
-            los = sorted([j0 * q + d * p for j0, d in cols])
-            tot = q
-            a = los[0]
-            for b in los[1:]:
-                gap = b - a
-                tot += gap if gap < q else q
-                a = b
-            totals.append(tot)
-        return totals
-
     # with 0 < p < q every endpoint j0*q + d*p has magnitude below the
     # bound and every gap stays below twice it; int32 rows halve the bytes
     # each sort moves

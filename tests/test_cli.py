@@ -221,6 +221,11 @@ class TestExitCodes:
         assert main(["alpha", "--n", "2", "--heuristic", "--budget", "1", "--seed", "1"]) == 1
         assert "budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_values", ["1/0", "5,abc"])
+    def test_unparsable_lemma2_n_value(self, capsys, n_values):
+        assert main(["verify", "lemma2", "--n-values", n_values]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot parse rational")
+
     def test_verify_violation_exits_three(self, capsys):
         assert main(["verify", "lemma1", "--depths", "1", "--t-points", "3"]) == 3
 

@@ -213,9 +213,7 @@ def area_reference(image):
 
 
 class TestInteriorBreakpoints:
-    @pytest.mark.parametrize("cutoff", [0, 10**9], ids=["numpy", "python"])
-    def test_paths_agree_with_fraction_sort(self, monkeypatch, cutoff):
-        monkeypatch.setattr(trapezoid, "_VECTOR_CUTOFF", cutoff)
+    def test_paths_agree_with_fraction_sort(self):
         rng = random.Random(11)
         for n in [1, 2, 3, 7, 16, 33, 48, 49, 60] + [rng.randint(1, 60) for _ in range(12)]:
             image = list(range(1, n + 1))
@@ -228,9 +226,9 @@ class TestInteriorBreakpoints:
             assert dens == [y.denominator for y in ordered]
 
 
-def slice_totals_on_path(monkeypatch, cutoff, n, disp, nums, dens):
-    monkeypatch.setattr(trapezoid, "_VECTOR_CUTOFF", cutoff)
-    return trapezoid._slice_totals(n, disp, nums, dens)
+def slice_totals_reference(spec, nums, dens):
+    """n*q times the measure of the merged ``slice_at`` union at each p/q."""
+    return [slice_at(spec, F(p, q)).measure * spec.n * q for p, q in zip(nums, dens)]
 
 
 class TestSliceTotals:
@@ -252,37 +250,36 @@ class TestSliceTotals:
         yield TrapezoidSpec(60, identity(60))
         yield TrapezoidSpec(60, reversal(60))
 
-    def test_breakpoint_paths_agree(self, monkeypatch):
+    def test_breakpoint_paths_agree(self):
+        # the numpy sweep against the pure-Fraction candidate list
         for spec in self.specs():
-            disp = trapezoid._displacements(spec)
-            monkeypatch.setattr(trapezoid, "_VECTOR_CUTOFF", 0)
-            numpy_points = trapezoid._interior_breakpoints(spec.n, disp)
-            monkeypatch.setattr(trapezoid, "_VECTOR_CUTOFF", 10**9)
-            assert numpy_points == trapezoid._interior_breakpoints(spec.n, disp)
+            nums, dens = trapezoid._interior_breakpoints(spec.n, trapezoid._displacements(spec))
+            ordered = interior_heights_reference(spec.sigma.image)
+            assert (nums, dens) == ([y.numerator for y in ordered], [y.denominator for y in ordered])
 
-    def test_numpy_path_matches_python_path(self, monkeypatch):
+    def test_numpy_path_matches_python_path(self):
+        # the numpy sorted-gap totals against the pure-Python interval merge
         for spec in self.specs():
             disp = trapezoid._displacements(spec)
             nums, dens = trapezoid._interior_breakpoints(spec.n, disp)
-            args = (spec.n, disp, nums, dens)
-            numpy_totals = slice_totals_on_path(monkeypatch, 0, *args)
-            assert numpy_totals == slice_totals_on_path(monkeypatch, 10**9, *args)
+            totals = trapezoid._slice_totals(spec.n, disp, nums, dens)
+            assert totals == slice_totals_reference(spec, nums, dens)
 
     @pytest.mark.parametrize("q", [2**23 - 1, 2**23, 2**23 + 3, 2**26])
-    def test_heights_around_the_int32_bound(self, monkeypatch, q):
+    def test_heights_around_the_int32_bound(self, q):
         # n = 65 with one transposition reaching |d| = 63: the numpy path
         # picks int32 iff 2*q*(n + 63) = 2^8*q < 2^31, i.e. q < 2^23; at
         # q = 2^26 the endpoints themselves pass 2^31
         n = 65
         image = list(range(1, n + 1))
         image[0], image[63] = image[63], image[0]
-        disp = trapezoid._displacements(spec_of(image))
+        spec = spec_of(image)
+        disp = trapezoid._displacements(spec)
         assert max(map(abs, disp)) == 63
         nums = [1, q // 3, q // 2 + 1, q - 1]
         dens = [q] * len(nums)
-        args = (n, disp, nums, dens)
-        numpy_totals = slice_totals_on_path(monkeypatch, 0, *args)
-        assert numpy_totals == slice_totals_on_path(monkeypatch, 10**9, *args)
+        totals = trapezoid._slice_totals(n, disp, nums, dens)
+        assert totals == slice_totals_reference(spec, nums, dens)
 
 
 def random_involution(rng, n):
@@ -435,8 +432,7 @@ class TestAreaCrossValidation:
 
     @pytest.mark.parametrize("n", range(9, 13))
     def test_just_above_cutoff_matches_reference(self, n):
-        # the smallest sizes on the numpy sweep
-        assert n > trapezoid._VECTOR_CUTOFF
+        # the sizes just above the former pure-Python cutoff (n <= 8)
         rng = random.Random(n)
         images = [tuple(range(n, 0, -1))]
         for _ in range(3):
