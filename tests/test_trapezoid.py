@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import permutations as itertools_permutations
@@ -212,14 +213,38 @@ def area_reference(image):
     return sum((b - a) * (va + vb) / 2 for a, b, va, vb in zip(ys, ys[1:], vs, vs[1:]))
 
 
+def float_sorted_breakpoints(n, disp):
+    """Reduced integer (p, q) candidates sorted by float value in plain
+    Python: the ordering argument the numpy sweep relies on (distinct p/q
+    with q < 2n differ by more than 1/(4n^2)), with no numpy."""
+    cands = set()
+    for i in range(n):
+        for j in range(i + 1, n):
+            den = disp[i] - disp[j]
+            if not den:
+                continue
+            for num in (j - i, j - i + 1, j - i - 1):
+                p, q = (num, den) if den > 0 else (-num, -den)
+                if 0 < p < q:
+                    g = math.gcd(p, q)
+                    cands.add((p // g, q // g))
+    ordered = sorted(cands, key=lambda pq: pq[0] / pq[1])
+    return [p for p, _ in ordered], [q for _, q in ordered]
+
+
 class TestInteriorBreakpoints:
-    def test_paths_agree_with_fraction_sort(self):
+    @pytest.mark.parametrize(
+        "breakpoints",
+        [trapezoid._interior_breakpoints, float_sorted_breakpoints],
+        ids=["numpy", "python"],
+    )
+    def test_paths_agree_with_fraction_sort(self, breakpoints):
         rng = random.Random(11)
         for n in [1, 2, 3, 7, 16, 33, 48, 49, 60] + [rng.randint(1, 60) for _ in range(12)]:
             image = list(range(1, n + 1))
             rng.shuffle(image)
             spec = spec_of(image)
-            nums, dens = trapezoid._interior_breakpoints(n, trapezoid._displacements(spec))
+            nums, dens = breakpoints(n, trapezoid._displacements(spec))
             # distinct Fractions, sorted: strictly increasing and reduced
             ordered = interior_heights_reference(image)
             assert nums == [y.numerator for y in ordered]
