@@ -11,20 +11,25 @@ The sweep finds every height where two endpoint lines cross or come
 within one interval width of each other (the only places the measure's
 slope can change) and evaluates the slice measure exactly there.
 Endpoints at a fixed rational height y = p/q share the denominator n*q,
-so each evaluation is pure integer work, and the profile keeps those
-integers as they are (heights p/q, values t/(n*q)) with no Fraction
-built per breakpoint.  The arithmetic runs through numpy in cache-sized
-blocks, in int32 when q*(n + max|d|) < 2^30 bounds every endpoint and
-gap, else in int64 (refused at 2^62).  Candidate heights are reduced p/q
-with q < 2n, so distinct ones differ by more than 1/(4n^2); they are
-sorted by float value, with a cross-multiplied check that the order is
-strict.
+so each evaluation is pure integer work: the sweep returns the heights
+p/q and the totals t (the measure is t/(n*q)) as int64 arrays, with no
+Fraction or Python int built per breakpoint.  The arithmetic runs
+through numpy in cache-sized blocks, in int32 when q*(n + max|d|) < 2^30
+bounds every endpoint and gap, else in int64 (refused at 2^62).
+Candidate heights are reduced p/q with q < 2n, so distinct ones differ
+by more than 1/(4n^2); they are deduplicated by sorting packed integer
+keys (on numpy >= 2.3 ``np.unique`` hashes int64 input, which is several
+times slower), then sorted by float value, with a cross-multiplied check
+that the order is strict.
 
 A self-inverse permutation (every digit-swap and composite one) has a
 profile symmetric about y = 1/2, so only its lower half is swept.  n
-times the slice measure has integer slopes, so ``area`` integrates from
-the slope changes: int64 work per breakpoint, Python ints per distinct
-q, and one Fraction, for n up to ``SLOPE_MAX_N`` (27,554).
+times the slice measure has integer slopes, so ``area`` integrates the
+sweep's arrays from the slope changes, with no profile in between:
+int64 work per breakpoint, Python ints per distinct q, and one
+Fraction, for n up to ``SLOPE_MAX_N`` (27,554).  ``slice_profile``
+wraps the same arrays in a ``PiecewiseLinearProfile`` for callers that
+read the profile itself.
 
 ``FareyGrid`` scores many permutations of one n at once for exhaustive
 search: the same integer slice totals, taken on the one grid of heights
@@ -38,7 +43,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
-from operator import sub
 
 import numpy as np
 
@@ -118,18 +122,31 @@ def slice_at(spec: TrapezoidSpec, y: RationalLike) -> IntervalUnion:
     return IntervalUnion(lo, hi, spec.n * q)
 
 
-def _interior_breakpoints(n: int, disp: list[int]) -> tuple[list[int], list[int]]:
-    """Reduced interior breakpoint candidates (p, q), sorted by value.
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of an int64 array.
+
+    A sort and a neighbour mask: on numpy >= 2.3 ``np.unique`` hashes
+    integer input, several times slower here than sorting.
+    """
+    keys = np.sort(keys)
+    keep = np.empty(keys.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
+def _interior_breakpoints(n: int, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced interior breakpoint candidates (p, q) as int64 arrays, sorted by value.
 
     Candidates are the heights where two left-endpoint lines meet
     (L_i = L_j) or differ by exactly one width (L_i = L_j +- 1/n),
-    generated pairwise, clipped to (0, 1), and deduplicated exactly.
+    generated pairwise from the displacements d, clipped to (0, 1), and
+    deduplicated exactly.
     """
-    d = np.asarray(disp, dtype=np.int64)
     cols = np.arange(n, dtype=np.int64)
     # pair generation in row slabs keeps peak memory flat for large n;
-    # duplicates across slabs collapse in the final unique pass
-    key_chunks = []
+    # duplicates across slabs collapse in the final pass
+    key_chunks = [np.empty(0, dtype=np.int64)]
     rows_per_slab = max(1, 131_072 // n)
     for start in range(0, n - 1, rows_per_slab):
         stop = min(n - 1, start + rows_per_slab)
@@ -147,55 +164,53 @@ def _interior_breakpoints(n: int, disp: list[int]) -> tuple[list[int], list[int]
         g = np.gcd(nums, dens)
         nums //= g
         dens //= g
-        # q < 2n, so the packed key and the float sort below are collision-free
-        key_chunks.append(np.unique(nums * (2 * n + 2) + dens))
-    if not key_chunks:
-        return [], []
-    keys = np.unique(np.concatenate(key_chunks))
-    nums, dens = np.divmod(keys, 2 * n + 2)
-    order = np.argsort(nums / dens, kind="stable")
+        # q < 2n, so the packed key is collision-free and distinct heights
+        # are distinct doubles, which the float sort below relies on
+        key_chunks.append(_distinct(nums * (2 * n + 2) + dens))
+    nums, dens = np.divmod(_distinct(np.concatenate(key_chunks)), 2 * n + 2)
+    order = np.argsort(nums / dens)
     nums, dens = nums[order], dens[order]
     if nums.size > 1 and not np.all(nums[:-1] * dens[1:] < nums[1:] * dens[:-1]):
         raise AssertionError("breakpoint ordering lost exactness")
-    return nums.tolist(), dens.tolist()
+    return nums, dens
 
 
-def _slice_totals(n: int, disp: list[int], nums: list[int], dens: list[int]) -> list[int]:
-    """Slice measures at y = p/q, as integers over the denominator n*q.
+def _slice_totals(n: int, d: np.ndarray, nums: np.ndarray, dens: np.ndarray) -> np.ndarray:
+    """Slice measures at y = p/q, as int64 integers over the denominator n*q.
 
     With all n intervals sharing width q (in units of 1/(n q)) the union
     length is q plus the capped gaps between consecutive sorted left
     endpoints.
     """
-    if not nums:
-        return []
+    out = np.empty(nums.size, dtype=np.int64)
+    if not nums.size:
+        return out
     # with 0 < p < q every endpoint j0*q + d*p has magnitude below the
     # bound and every gap stays below twice it; int32 rows halve the bytes
     # each sort moves
-    bound = max(dens) * (n + max(map(abs, disp)))
+    bound = int(dens.max()) * (n + int(np.abs(d).max()))
     if bound >= 2**62:
         raise AssertionError("slice sweep would overflow int64")
     dtype = np.int32 if 2 * bound < 2**31 else np.int64
-    d = np.asarray(disp, dtype=dtype)
+    d = d.astype(dtype)
     col = np.arange(n, dtype=dtype)
-    p_arr = np.asarray(nums, dtype=dtype)[:, None]
-    q_arr = np.asarray(dens, dtype=dtype)[:, None]
-    out = np.empty(len(nums), dtype=np.int64)
+    p_arr = nums.astype(dtype)[:, None]
+    q_arr = dens.astype(dtype)[:, None]
     # about 128k endpoints per chunk keeps each row block in cache
     chunk = max(1, 131_072 // n)
-    for s in range(0, len(nums), chunk):
-        e = min(len(nums), s + chunk)
+    for s in range(0, nums.size, chunk):
+        e = min(nums.size, s + chunk)
         q = q_arr[s:e]
         los = col * q
         los += d * p_arr[s:e]
         los.sort(axis=1)
-        gaps = np.diff(los, axis=1)
+        gaps = np.subtract(los[:, 1:], los[:, :-1])
         np.minimum(gaps, q, out=gaps)
         out[s:e] = gaps.sum(axis=1, dtype=np.int64) + q[:, 0]
-    return out.tolist()
+    return out
 
 
-def _mirrored_totals(n: int, disp: list[int], nums: list[int], dens: list[int]) -> list[int]:
+def _mirrored_totals(n: int, d: np.ndarray, nums: np.ndarray, dens: np.ndarray) -> np.ndarray:
     """``_slice_totals`` of a self-inverse permutation, swept at y <= 1/2 only.
 
     Turning the trapezoid of sigma upside down gives the trapezoid of
@@ -203,37 +218,48 @@ def _mirrored_totals(n: int, disp: list[int], nums: list[int], dens: list[int]) 
     at p/q: the same union over the same n*q, hence the same total.  The
     candidate list is then its own mirror, which is checked first.
     """
-    if dens != dens[::-1] or nums[::-1] != list(map(sub, dens, nums)):
+    if not (np.array_equal(dens, dens[::-1]) and np.array_equal(nums[::-1], dens - nums)):
         raise AssertionError("breakpoints of a self-inverse permutation are not mirror-symmetric")
     # the first ceil(K/2) heights are those <= 1/2 (each swapped pair crosses at 1/2)
-    half = (len(nums) + 1) // 2
-    lower = _slice_totals(n, disp, nums[:half], dens[:half])
-    return lower + lower[: len(nums) - half][::-1]
+    half = (nums.size + 1) // 2
+    lower = _slice_totals(n, d, nums[:half], dens[:half])
+    return np.concatenate([lower, lower[: nums.size - half][::-1]])
+
+
+def _sweep(spec: TrapezoidSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Interior breakpoints p/q and slice totals t over n*q, as int64 arrays.
+
+    Between consecutive breakpoints (and the ends y = 0, 1) the interval
+    order and overlap pattern are constant, so the measure is linear
+    there.  The value at each breakpoint is recomputed from scratch,
+    which makes coincident crossings harmless.  When sigma is its own
+    inverse (every digit-swap and composite permutation) the profile is
+    symmetric about y = 1/2, and only the lower half of the heights is
+    swept.
+    """
+    n = spec.n
+    d = np.array(_displacements(spec), dtype=np.int64)
+    nums, dens = _interior_breakpoints(n, d)
+    if spec.sigma.inverse() == spec.sigma:
+        return nums, dens, _mirrored_totals(n, d, nums, dens)
+    return nums, dens, _slice_totals(n, d, nums, dens)
 
 
 def slice_profile(spec: TrapezoidSpec) -> PiecewiseLinearProfile:
     """Slice measure as an exact piecewise-linear function of height.
 
-    Breakpoints are y = 0, y = 1, and every interior candidate crossing;
-    between consecutive breakpoints the interval order and overlap
-    pattern are constant, so the measure is linear there.  The value at
-    each breakpoint is recomputed from scratch, which makes coincident
-    crossings harmless.  When sigma is its own inverse (every digit-swap
-    and composite permutation) the profile is symmetric about y = 1/2,
-    and only the lower half of the heights is swept.
+    Breakpoints are y = 0, y = 1, and every interior candidate crossing
+    found by the sweep; the value at height p/q is t/(n q).
     """
-    n = spec.n
-    disp = _displacements(spec)
-    nums, dens = _interior_breakpoints(n, disp)
-    if spec.sigma.inverse() == spec.sigma:
-        totals = _mirrored_totals(n, disp, nums, dens)
-    else:
-        totals = _slice_totals(n, disp, nums, dens)
-    # breakpoint k sits at (p/q, t/(n q)); the ends are (0, 1) and (1, 1).
-    # A plain constructor call: the benchmark's traced runs replace the
-    # class name with a wrapper function, so a classmethod would break.
+    nums, dens, totals = _sweep(spec)
+    # the ends are (0, 1) and (1, 1).  A plain constructor call: the
+    # benchmark's traced runs replace the class name with a wrapper
+    # function, so a classmethod would break.
     return PiecewiseLinearProfile(
-        (0, *nums, 1), (1, *dens, 1), (1, *totals, 1), (1, *(n * q for q in dens), 1)
+        (0, *nums.tolist(), 1),
+        (1, *dens.tolist(), 1),
+        (1, *totals.tolist(), 1),
+        (1, *(spec.n * dens).tolist(), 1),
     )
 
 
@@ -244,13 +270,13 @@ def slice_profile(spec: TrapezoidSpec) -> PiecewiseLinearProfile:
 SLOPE_MAX_N = isqrt(isqrt(2**59 - 1))
 
 
-def _integrate_slopes(n: int, profile: PiecewiseLinearProfile) -> Rational:
-    """Exact integral of a ``slice_profile`` from its integer slope changes.
+def _integrate_slopes(n: int, nums: np.ndarray, dens: np.ndarray, totals: np.ndarray) -> Rational:
+    """Exact integral of the slice measure from the sweep's arrays.
 
     Between breakpoints, n times the slice measure is A_k + B_k*y with
     integers A_k, B_k: each connected component of the slice spans
-    (j0 + d*y)/n end lines.  At y_k = p_k/q_k it is t_k/q_k (value
-    t_k/(n q_k) inside, 1 at the ends), so
+    (j0 + d*y)/n end lines.  At y_k = p_k/q_k it is t_k/q_k (the sweep's
+    totals inside, n/1 at the ends y = 0/1 and 1/1, added here), so
     B_k = (t_(k+1) q_k - t_k q_(k+1)) / (p_(k+1) q_k - p_k q_(k+1)),
     computed in int64 and checked to divide exactly.  Integrating by parts
     against the value 1 at y = 1 gives
@@ -258,17 +284,16 @@ def _integrate_slopes(n: int, profile: PiecewiseLinearProfile) -> Rational:
     The slope changes times p^2 are summed per distinct q (q < 2n) as
     Python ints, and one Fraction over 2n*lcm(q)^2 is built.
     """
-    p = np.array(profile.y_num, dtype=np.int64)
-    q = np.array(profile.y_den, dtype=np.int64)
-    t = np.array(profile.v_num, dtype=np.int64)
-    t[0] = t[-1] = n
+    p = np.concatenate(([0], nums, [1]))
+    q = np.concatenate(([1], dens, [1]))
+    t = np.concatenate(([n], totals, [n]))
     slopes, rem = np.divmod(t[1:] * q[:-1] - t[:-1] * q[1:], p[1:] * q[:-1] - p[:-1] * q[1:])
     if rem.any():
         raise AssertionError("slice totals give a non-integer slope")
-    change = np.diff(slopes)
+    change = slopes[1:] - slopes[:-1]
     hit = np.flatnonzero(change)
     acc: dict[int, int] = {}
-    for den, term in zip(q[1:-1][hit].tolist(), (change[hit] * p[1:-1][hit] ** 2).tolist()):
+    for den, term in zip(dens[hit].tolist(), (change[hit] * nums[hit] ** 2).tolist()):
         acc[den] = acc.get(den, 0) + term
     scale = lcm(*acc)
     total = sum(num * (scale // den) ** 2 for den, num in acc.items())
@@ -280,13 +305,13 @@ def _integrate_slopes(n: int, profile: PiecewiseLinearProfile) -> Rational:
 def area(spec: TrapezoidSpec) -> Rational:
     """Exact two-dimensional measure of the trapezoid, in [1/n, 1].
 
-    The slice profile integrated from its integer slope changes; equal
-    to ``integrate_plp(slice_profile(spec))``.  n above ``SLOPE_MAX_N``
-    is refused before any sweep.
+    The sweep's arrays integrated from their integer slope changes, with
+    no profile built; equal to ``integrate_plp(slice_profile(spec))``.
+    n above ``SLOPE_MAX_N`` is refused before any sweep.
     """
     if spec.n > SLOPE_MAX_N:
         raise ValueError(f"n={spec.n} is above {SLOPE_MAX_N}: exact area integration would overflow int64")
-    return _integrate_slopes(spec.n, slice_profile(spec))
+    return _integrate_slopes(spec.n, *_sweep(spec))
 
 
 def _sorting_network(n: int) -> tuple[tuple[int, int], ...]:

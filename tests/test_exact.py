@@ -17,7 +17,7 @@ from trapmeasure.exact import (
     normalize,
 )
 from trapmeasure.permutations import Permutation, composite_permutation, digit_swap_permutation
-from trapmeasure.trapezoid import TrapezoidSpec, _integrate_slopes, slice_profile
+from trapmeasure.trapezoid import TrapezoidSpec, _integrate_slopes, _sweep, slice_profile
 
 F = Fraction
 
@@ -440,14 +440,12 @@ class TestIntegrationByParts:
             assert integrate_plp(profile) == integrate_plp_lcm_reference(profile)
 
     def test_slope_integration_matches_trapezoid_rule(self):
-        # every slice profile of profiles(); the hand-built first one has
+        # every spec behind profiles(); the hand-built first profile has
         # no strip count n and no integer slopes
         for spec in self.specs():
-            profile = slice_profile(spec)
-            assert _integrate_slopes(spec.n, profile) == integrate_plp(profile)
+            assert _integrate_slopes(spec.n, *_sweep(spec)) == integrate_plp(slice_profile(spec))
 
     @given(st.integers(1, 40).flatmap(lambda n: st.permutations(range(1, n + 1))))
     def test_slope_integration_matches_on_random_permutations(self, image):
         spec = TrapezoidSpec(len(image), Permutation(tuple(image)))
-        profile = slice_profile(spec)
-        assert _integrate_slopes(spec.n, profile) == integrate_plp(profile)
+        assert _integrate_slopes(spec.n, *_sweep(spec)) == integrate_plp(slice_profile(spec))

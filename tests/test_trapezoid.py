@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trapmeasure.exact import PiecewiseLinearProfile, measure, normalize
+from trapmeasure.exact import integrate_plp, measure, normalize
 from trapmeasure.permutations import (
     Permutation,
     composite_permutation,
@@ -232,10 +232,21 @@ def float_sorted_breakpoints(n, disp):
     return [p for p, _ in ordered], [q for _, q in ordered]
 
 
+def displacements(spec):
+    return np.array(trapezoid._displacements(spec), dtype=np.int64)
+
+
+def numpy_breakpoints(n, disp):
+    """``_interior_breakpoints`` of a displacement list, as int lists."""
+    nums, dens = trapezoid._interior_breakpoints(n, np.array(disp, dtype=np.int64))
+    assert nums.dtype == dens.dtype == np.int64
+    return nums.tolist(), dens.tolist()
+
+
 class TestInteriorBreakpoints:
     @pytest.mark.parametrize(
         "breakpoints",
-        [trapezoid._interior_breakpoints, float_sorted_breakpoints],
+        [numpy_breakpoints, float_sorted_breakpoints],
         ids=["numpy", "python"],
     )
     def test_paths_agree_with_fraction_sort(self, breakpoints):
@@ -249,6 +260,19 @@ class TestInteriorBreakpoints:
             ordered = interior_heights_reference(image)
             assert nums == [y.numerator for y in ordered]
             assert dens == [y.denominator for y in ordered]
+
+    def test_two_slabs_agree_with_fraction_sort(self):
+        # 131_072 // 400 = 327 pair rows a slab, so the 399 rows of n = 400
+        # span two slabs, and heights found in both collapse in the final pass
+        rng = random.Random(400)
+        image = list(range(1, 401))
+        rng.shuffle(image)
+        spec = spec_of(image)
+        nums, dens = numpy_breakpoints(400, trapezoid._displacements(spec))
+        ordered = interior_heights_reference(image)
+        assert nums == [y.numerator for y in ordered]
+        assert dens == [y.denominator for y in ordered]
+        assert area(spec) == integrate_plp(slice_profile(spec))
 
 
 def slice_totals_reference(spec, nums, dens):
@@ -278,17 +302,18 @@ class TestSliceTotals:
     def test_breakpoint_paths_agree(self):
         # the numpy sweep against the pure-Fraction candidate list
         for spec in self.specs():
-            nums, dens = trapezoid._interior_breakpoints(spec.n, trapezoid._displacements(spec))
+            nums, dens = numpy_breakpoints(spec.n, trapezoid._displacements(spec))
             ordered = interior_heights_reference(spec.sigma.image)
             assert (nums, dens) == ([y.numerator for y in ordered], [y.denominator for y in ordered])
 
     def test_numpy_path_matches_python_path(self):
         # the numpy sorted-gap totals against the pure-Python interval merge
         for spec in self.specs():
-            disp = trapezoid._displacements(spec)
+            disp = displacements(spec)
             nums, dens = trapezoid._interior_breakpoints(spec.n, disp)
             totals = trapezoid._slice_totals(spec.n, disp, nums, dens)
-            assert totals == slice_totals_reference(spec, nums, dens)
+            assert totals.dtype == np.int64
+            assert totals.tolist() == slice_totals_reference(spec, nums.tolist(), dens.tolist())
 
     @pytest.mark.parametrize("q", [2**23 - 1, 2**23, 2**23 + 3, 2**26])
     def test_heights_around_the_int32_bound(self, q):
@@ -299,12 +324,12 @@ class TestSliceTotals:
         image = list(range(1, n + 1))
         image[0], image[63] = image[63], image[0]
         spec = spec_of(image)
-        disp = trapezoid._displacements(spec)
-        assert max(map(abs, disp)) == 63
+        disp = displacements(spec)
+        assert np.abs(disp).max() == 63
         nums = [1, q // 3, q // 2 + 1, q - 1]
         dens = [q] * len(nums)
-        totals = trapezoid._slice_totals(n, disp, nums, dens)
-        assert totals == slice_totals_reference(spec, nums, dens)
+        totals = trapezoid._slice_totals(n, disp, np.array(nums, dtype=np.int64), np.array(dens, dtype=np.int64))
+        assert totals.tolist() == slice_totals_reference(spec, nums, dens)
 
 
 def random_involution(rng, n):
@@ -319,10 +344,10 @@ def random_involution(rng, n):
 
 def full_and_mirrored_totals(spec):
     assert spec.sigma.inverse() == spec.sigma
-    disp = trapezoid._displacements(spec)
+    disp = displacements(spec)
     nums, dens = trapezoid._interior_breakpoints(spec.n, disp)
     args = (spec.n, disp, nums, dens)
-    return trapezoid._slice_totals(*args), trapezoid._mirrored_totals(*args)
+    return trapezoid._slice_totals(*args).tolist(), trapezoid._mirrored_totals(*args).tolist()
 
 
 class TestMirroredTotals:
@@ -357,7 +382,7 @@ class TestMirroredTotals:
         sweep = trapezoid._slice_totals
 
         def recording(n, disp, nums, dens):
-            swept.extend(zip(nums, dens))
+            swept.extend(zip(nums.tolist(), dens.tolist()))
             return sweep(n, disp, nums, dens)
 
         monkeypatch.setattr(trapezoid, "_slice_totals", recording)
@@ -379,7 +404,7 @@ class TestMirroredTotals:
             slice_profile(spec)
         # same denominators, one numerator moved off its mirror image
         with pytest.raises(AssertionError, match="mirror-symmetric"):
-            trapezoid._mirrored_totals(3, [1, 0, -1], [1, 2], [4, 4])
+            trapezoid._mirrored_totals(3, np.array([1, 0, -1]), np.array([1, 2]), np.array([4, 4]))
 
 
 class TestSlopeIntegration:
@@ -397,8 +422,8 @@ class TestSlopeIntegration:
     def test_int64_bounds_hold(self):
         # the bounds behind SLOPE_MAX_N, checked in Python ints
         for spec in self.specs():
-            n, profile = spec.n, slice_profile(spec)
-            p, q, t = profile.y_num, profile.y_den, (n, *profile.v_num[1:-1], n)
+            n, (nums, dens, totals) = spec.n, trapezoid._sweep(spec)
+            p, q, t = (0, *nums.tolist(), 1), (1, *dens.tolist(), 1), (n, *totals.tolist(), n)
             cross = [t[k + 1] * q[k] - t[k] * q[k + 1] for k in range(len(p) - 1)]
             assert max(map(abs, cross)) < 8 * n**3
             slopes = [c // (p[k + 1] * q[k] - p[k] * q[k + 1]) for k, c in enumerate(cross)]
@@ -411,19 +436,19 @@ class TestSlopeIntegration:
         # to it by q_(k-1) and q_(k+1); where a slope denominator does not
         # divide that change, the slope stops being an integer
         spec = TrapezoidSpec(9, digit_swap_permutation(2))
-        profile = slice_profile(spec)
-        p, q = profile.y_num, profile.y_den
+        nums, dens, totals = trapezoid._sweep(spec)
+        # heights with the ends y = 0/1 and 1/1; interior height k is array entry k - 1
+        p, q = (0, *nums.tolist(), 1), (1, *dens.tolist(), 1)
         caught = 0
         for k in range(1, len(p) - 1):
             before = p[k] * q[k - 1] - p[k - 1] * q[k]
             after = p[k + 1] * q[k] - p[k] * q[k + 1]
             if q[k - 1] % before == 0 and q[k + 1] % after == 0:
                 continue
-            v_num = list(profile.v_num)
-            v_num[k] += 1
-            corrupt = PiecewiseLinearProfile(p, q, v_num, profile.v_den)
+            corrupt = totals.copy()
+            corrupt[k - 1] += 1
             with pytest.raises(AssertionError, match="non-integer slope"):
-                trapezoid._integrate_slopes(spec.n, corrupt)
+                trapezoid._integrate_slopes(spec.n, nums, dens, corrupt)
             caught += 1
         assert caught > 0
 
@@ -439,6 +464,23 @@ class TestSlopeIntegration:
             area(TrapezoidSpec(n, reversal(n)))
         with pytest.raises(ValueError, match="overflow int64"):
             area(TrapezoidSpec(n + 1, reversal(n + 1)))
+
+    def test_area_builds_no_profile(self, monkeypatch):
+        def no_profile(*args):
+            raise RuntimeError("a profile was built")
+
+        monkeypatch.setattr(trapezoid, "PiecewiseLinearProfile", no_profile)
+        with pytest.raises(RuntimeError, match="a profile was built"):
+            slice_profile(spec_of((1, 3, 2)))
+        # values pinned from the earlier profile-based area
+        spec = TrapezoidSpec(27, digit_swap_permutation(3))
+        assert area.__wrapped__(spec) == F(939529831, 1428499800)
+        rng = random.Random(50)
+        image = list(range(1, 51))
+        rng.shuffle(image)
+        assert area.__wrapped__(spec_of(image)) == F(
+            50322782301636299302042613556401, 80343479538244650379307816160000
+        )
 
 
 class TestAreaCrossValidation:
