@@ -15,10 +15,15 @@ endpoints are doubles merged with a depth-scaled tolerance.  In angle
 mode every triangle's interval is its projected anchor plus one fixed
 offset pair, so a single sort of the anchors orders both endpoint arrays
 and the parts are cut wherever a gap exceeds the tolerance, with no
-per-triangle loop.  ``favard`` and ``lemma1_check`` read only the
-measure, the ``math.fsum`` of the part lengths, straight from those
-arrays; only ``project`` builds the tuple of parts.  The exact mode
-exists to anchor the numeric one.
+per-triangle loop.  ``project`` builds the tuple of parts and takes the
+``math.fsum`` of their lengths.  ``favard`` and ``lemma1_check`` read only
+the measure, straight from the endpoint arrays: ``_exact_sum`` splits
+every part length exactly into three columns, multiples of 2^-20, 2^-45
+and 2^-72, whose numpy sums are exact in any order, so the ``math.fsum``
+of the three column sums is the correctly rounded total, the same double
+``project`` reports.  The split is exact only for fewer than 2^13 lengths
+in [2^-20, 2), which holds up to ``GASKET_DEPTH_CAP``; anything outside
+that range raises.  The exact mode exists to anchor the numeric one.
 """
 
 from __future__ import annotations
@@ -108,12 +113,14 @@ def gasket_anchors(spec: GasketSpec) -> tuple[tuple[Rational, Rational], ...]:
     return tuple((Fraction(x, scale), Fraction(y, scale)) for x, y in _anchor_ints(spec.depth))
 
 
-def _anchor_array(depth: int) -> np.ndarray:
-    pts = np.zeros((1, 2))
-    vecs = np.array(_DIGIT_VECTORS, dtype=np.float64)
+def _anchor_columns(depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Anchor x and y as two contiguous float columns, in digit-enumeration order."""
+    xs, ys = np.zeros(1), np.zeros(1)
+    vx, vy = np.array(_DIGIT_VECTORS, dtype=np.float64).T
     for k in range(1, depth + 1):
-        pts = (pts[:, None, :] + vecs[None, :, :] / 3.0**k).reshape(-1, 2)
-    return pts
+        xs = (xs[:, None] + vx / 3.0**k).reshape(-1)
+        ys = (ys[:, None] + vy / 3.0**k).reshape(-1)
+    return xs, ys
 
 
 @dataclass(frozen=True)
@@ -145,7 +152,7 @@ def project(spec: GasketSpec, direction: Direction) -> ExactProjection | Numeric
     """Projection of the partial gasket onto a line with the direction."""
     if direction.slope is not None:
         return _project_exact(spec, direction.slope)
-    starts, ends = _project_numeric(_anchor_array(spec.depth), spec.depth, direction.angle)
+    starts, ends = _project_numeric(_anchor_columns(spec.depth), spec.depth, direction.angle)
     return NumericProjection(
         parts=tuple(zip(starts.tolist(), ends.tolist())),
         measure=math.fsum((ends - starts).tolist()),
@@ -162,7 +169,9 @@ def _project_exact(spec: GasketSpec, slope: Fraction) -> ExactProjection:
     return ExactProjection(scaled_set=IntervalUnion(lo, hi, v * 3**spec.depth), cosine=cosine)
 
 
-def _project_numeric(pts: np.ndarray, depth: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
+def _project_numeric(
+    anchors: tuple[np.ndarray, np.ndarray], depth: int, theta: float
+) -> tuple[np.ndarray, np.ndarray]:
     """Starts and ends of the merged parts of the projection at angle theta."""
     # Triangle i projects to [b_i + m, b_i + M] with b_i its projected anchor.
     # Rounding is monotone and fl(b + 0) = b, so these equal the corner
@@ -170,7 +179,10 @@ def _project_numeric(pts: np.ndarray, depth: int, theta: float) -> tuple[np.ndar
     # non-decreasing and a part ends wherever the next lo clears hi + tol.
     c, s = math.cos(theta), math.sin(theta)
     w = 3.0**-depth
-    base = np.sort(pts[:, 0] * c + pts[:, 1] * s)
+    xs, ys = anchors
+    base = xs * c
+    base += ys * s
+    base.sort()
     lo = base + min(0.0, c * w, s * w)
     hi = base + max(0.0, c * w, s * w)
     gaps = np.flatnonzero(lo[1:] > hi[:-1] + 1e-12 * 3**depth)
@@ -179,10 +191,38 @@ def _project_numeric(pts: np.ndarray, depth: int, theta: float) -> tuple[np.ndar
     return starts, ends
 
 
-def _numeric_measure(pts: np.ndarray, depth: int, theta: float) -> float:
+# Adding and subtracting 1.5 * 2^32 rounds a double below 2 to a multiple of
+# 2^-20, and 1.5 * 2^7 rounds a remainder of at most 2^-21 to a multiple of
+# 2^-45; both differences are exact.
+_SPLIT_HIGH = 1.5 * 2.0**32
+_SPLIT_MID = 1.5 * 2.0**7
+
+
+def _exact_sum(lengths: np.ndarray) -> float:
+    """``math.fsum`` of fewer than 2^13 doubles in [2^-20, 2), without a list.
+
+    Each length splits exactly into multiples of 2^-20, 2^-45 and 2^-72
+    (a double of at least 2^-20 is a multiple of 2^-72), each at most
+    2, 2^-21 and 2^-46 in size.  Fewer than 2^13 of them sum to at most
+    2^34, 2^37 and 2^39 units, within the 53-bit significand, so every
+    column sum is exact in any order and the fsum of the three is the
+    correctly rounded total.
+    """
+    if lengths.size >= 2**13:
+        raise ValueError(f"{lengths.size} lengths; the exact split needs fewer than 2^13")
+    if not (lengths.min() >= 2.0**-20 and lengths.max() < 2.0):
+        raise ValueError("lengths outside [2^-20, 2); the exact split does not apply")
+    high = (lengths + _SPLIT_HIGH) - _SPLIT_HIGH
+    rest = lengths - high
+    mid = (rest + _SPLIT_MID) - _SPLIT_MID
+    low = rest - mid
+    return math.fsum((high.sum(), mid.sum(), low.sum()))
+
+
+def _numeric_measure(anchors: tuple[np.ndarray, np.ndarray], depth: int, theta: float) -> float:
     """Measure of the projection at angle theta, with no parts tuple built."""
-    starts, ends = _project_numeric(pts, depth, theta)
-    return math.fsum((ends - starts).tolist())
+    starts, ends = _project_numeric(anchors, depth, theta)
+    return _exact_sum(ends - starts)
 
 
 def favard(spec: GasketSpec, quad_points: int) -> float:
@@ -191,11 +231,13 @@ def favard(spec: GasketSpec, quad_points: int) -> float:
     Uniform midpoint grid over [0, pi); the gasket's symmetry under
     swapping coordinates pairs midpoints theta and pi/2 - theta (mod pi),
     halving the evaluations for even grids.  Summation order is fixed by
-    grid index, so the result is deterministic.
+    grid index, so the result is deterministic.  Past the default depth
+    cap a direction can have 2^13 parts or more, beyond the exact sum,
+    and the call raises ``ValueError``.
     """
     if quad_points < 16:
         raise ValueError(f"need at least 16 quadrature points, got {quad_points}")
-    pts = _anchor_array(spec.depth)
+    anchors = _anchor_columns(spec.depth)
     step = math.pi / quad_points
     multiplicity: dict[int, int] = {}
     for i in range(quad_points):
@@ -206,7 +248,7 @@ def favard(spec: GasketSpec, quad_points: int) -> float:
             rep = i
         multiplicity[rep] = multiplicity.get(rep, 0) + 1
     total = math.fsum(
-        _numeric_measure(pts, spec.depth, (rep + 0.5) * step) * count
+        _numeric_measure(anchors, spec.depth, (rep + 0.5) * step) * count
         for rep, count in sorted(multiplicity.items())
     )
     return total / quad_points
@@ -237,7 +279,7 @@ def lemma1_check(
     are flagged, never hidden.
     """
     spec = GasketSpec(depth)
-    pts = _anchor_array(depth)
+    anchors = _anchor_columns(depth)
     rows = []
     for t_raw in t_grid:
         t = as_rational(t_raw)
@@ -245,7 +287,7 @@ def lemma1_check(
             raise ValueError(f"grid height {t} outside [0, 1]")
         lhs = slice_set(depth, t).measure
         phi = math.atan(float((2 - t) / (1 + t)))
-        rhs = float(1 + t) * _numeric_measure(pts, depth, phi)
+        rhs = float(1 + t) * _numeric_measure(anchors, depth, phi)
         ratio = float(lhs) / rhs if rhs else math.inf
         rows.append(
             SliceBoundRow(

@@ -11,7 +11,8 @@ from trapmeasure.exact import Interval, normalize
 from trapmeasure.gasket import (
     Direction,
     GasketSpec,
-    _anchor_array,
+    _anchor_columns,
+    _exact_sum,
     _project_exact,
     decay_fit,
     favard,
@@ -113,11 +114,32 @@ class TestProjection:
         assert first == second
 
 
+def _anchor_pairs(depth):
+    """Float anchors as (x, y) rows, each level added to both coordinates at once."""
+    pts = np.zeros((1, 2))
+    vecs = np.array([(0, 0), (2, 0), (0, 2)], dtype=np.float64)
+    for k in range(1, depth + 1):
+        pts = (pts[:, None, :] + vecs[None, :, :] / 3.0**k).reshape(-1, 2)
+    return pts
+
+
+@pytest.mark.parametrize("depth", range(9))
+def test_anchor_columns_equal_anchor_pairs(depth):
+    xs, ys = _anchor_columns(depth)
+    pts = _anchor_pairs(depth)
+    assert xs.flags.c_contiguous and ys.flags.c_contiguous
+    assert np.array_equal(xs, pts[:, 0]) and np.array_equal(ys, pts[:, 1])
+    scale = 3**depth
+    assert [(round(x * scale), round(y * scale)) for x, y in pts.tolist()] == [
+        (x * scale, y * scale) for x, y in gasket_anchors(GasketSpec(depth))
+    ]
+
+
 def _reference_projection(depth, theta):
     """Corner min/max per triangle, stable argsort, running-max merge."""
     c, s = math.cos(theta), math.sin(theta)
     w = 3.0**-depth
-    pts = _anchor_array(depth)
+    pts = _anchor_pairs(depth)
     base = pts[:, 0] * c + pts[:, 1] * s
     corners = np.stack([base, base + c * w, base + s * w], axis=1)
     lo, hi = corners.min(axis=1), corners.max(axis=1)
@@ -170,8 +192,88 @@ def _favard_reference(depth, quad_points):
     return total / quad_points
 
 
+def _tie_lengths(rng, count):
+    """count doubles in [2^-20, 2) whose exact sum lies halfway between two doubles.
+
+    Every length is an integer number of units 2^-52.  The first, in
+    [1, 2), keeps the total above 2, so half its ulp is a whole unit; the
+    last, in [1, 2), puts the total at an odd multiple of that half ulp.
+    """
+    units = [rng.randrange(2**52, 2**53)]
+    for _ in range(count - 2):
+        b = rng.randrange(21)
+        units.append(rng.randrange(2 ** (32 + b), 2 ** (33 + b)))
+    total = sum(units) + 3 * 2**51
+    half_ulp = 2 ** (total.bit_length() - 54)
+    last = 3 * 2**51 + (half_ulp - total) % (2 * half_ulp)
+    units.append(last)
+    lengths = [math.ldexp(u, -52) for u in units]
+    exact = F(sum(units), 2**52)
+    nearest = F(math.fsum(lengths))
+    assert abs(exact - nearest) == F(math.ulp(float(nearest))) / 2
+    return lengths, exact < nearest
+
+
+class TestExactSum:
+    @pytest.mark.parametrize("count", [1, 2, 3, 17, 611, 1280, 6561])
+    def test_equals_fsum_on_random_lengths(self, count):
+        rng = np.random.default_rng(count)
+        for _ in range(20):
+            lengths = np.exp2(rng.uniform(-20.0, 1.0, count))
+            assert lengths.min() >= 2.0**-20 and lengths.max() < 2.0
+            assert _exact_sum(lengths) == math.fsum(lengths.tolist())
+
+    def test_range_ends_and_full_load(self):
+        top = math.nextafter(2.0, 0.0)
+        for lengths in ([2.0**-20], [top], [2.0**-20, top], [top] * (2**13 - 1), [2.0**-20] * (2**13 - 1)):
+            assert _exact_sum(np.array(lengths)) == math.fsum(lengths)
+
+    @pytest.mark.parametrize(
+        "lengths, expected",
+        [
+            # 2.5 + 2^-52 is halfway between 2.5 and 2.5 + 2^-51: even is down
+            ([1.5, 1.0 + 2.0**-52], 2.5),
+            # 2.5 + 3 * 2^-52 is halfway between 2.5 + 2^-51 and 2.5 + 2^-50: even is up
+            ([1.5, 1.0 + 3 * 2.0**-52], 2.5 + 2.0**-50),
+        ],
+    )
+    def test_round_half_even(self, lengths, expected):
+        assert math.fsum(lengths) == expected
+        assert _exact_sum(np.array(lengths)) == expected
+
+    def test_random_ties(self):
+        rng = random.Random(11)
+        directions = set()
+        for count in [2, 3, 9, 100, 1000, 6561] * 4:
+            lengths, rounded_up = _tie_lengths(rng, count)
+            directions.add(rounded_up)
+            assert _exact_sum(np.array(lengths)) == math.fsum(lengths)
+        assert directions == {True, False}
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [
+            np.array([0.5, 2.0]),
+            np.array([3.0]),
+            np.array([0.5, math.nextafter(2.0**-20, 0.0)]),
+            np.array([0.0]),
+            np.array([-0.5]),
+            np.array([0.5, math.nan]),
+            np.full(2**13, 0.5),
+        ],
+    )
+    def test_rejects_lengths_outside_the_split(self, lengths):
+        with pytest.raises(ValueError):
+            _exact_sum(lengths)
+
+    def test_favard_past_the_depth_cap_raises(self):
+        # depth 9 has directions with more than 2^13 parts
+        with pytest.raises(ValueError, match="2\\^13"):
+            favard(GasketSpec(9, cap=9), 64)
+
+
 class TestMeasureOnlyPaths:
-    @pytest.mark.parametrize("depth", range(7))
+    @pytest.mark.parametrize("depth", range(9))
     @pytest.mark.parametrize("quad_points", [64, 49])
     def test_favard_equals_projection_reference_bit_for_bit(self, depth, quad_points):
         assert favard(GasketSpec(depth), quad_points) == _favard_reference(depth, quad_points)
