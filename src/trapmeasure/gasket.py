@@ -15,7 +15,8 @@ endpoints are doubles merged with a depth-scaled tolerance.  In angle
 mode every triangle's interval is its projected anchor plus one fixed
 offset pair, so a single sort of the anchors orders both endpoint arrays
 and the parts are cut wherever a gap exceeds the tolerance, with no
-per-triangle loop.  ``project`` builds the tuple of parts and takes the
+per-triangle loop; the anchor columns of each depth are built once and
+cached read-only.  ``project`` builds the tuple of parts and takes the
 ``math.fsum`` of their lengths.  ``favard`` and ``lemma1_check`` read only
 the measure, straight from the endpoint arrays: ``_exact_sum`` splits
 every part length exactly into three columns, multiples of 2^-20, 2^-45
@@ -31,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -113,13 +115,19 @@ def gasket_anchors(spec: GasketSpec) -> tuple[tuple[Rational, Rational], ...]:
     return tuple((Fraction(x, scale), Fraction(y, scale)) for x, y in _anchor_ints(spec.depth))
 
 
+@lru_cache(maxsize=GASKET_DEPTH_CAP + 1)
 def _anchor_columns(depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Anchor x and y as two contiguous float columns, in digit-enumeration order."""
+    """Anchor x and y as two contiguous float columns, in digit-enumeration order.
+
+    Cached per depth and shared by every caller, so both are read-only.
+    """
     xs, ys = np.zeros(1), np.zeros(1)
     vx, vy = np.array(_DIGIT_VECTORS, dtype=np.float64).T
     for k in range(1, depth + 1):
         xs = (xs[:, None] + vx / 3.0**k).reshape(-1)
         ys = (ys[:, None] + vy / 3.0**k).reshape(-1)
+    xs.flags.writeable = False
+    ys.flags.writeable = False
     return xs, ys
 
 

@@ -31,10 +31,11 @@ Fraction, for n up to ``SLOPE_MAX_N`` (27,554).  ``slice_profile``
 wraps the same arrays in a ``PiecewiseLinearProfile`` for callers that
 read the profile itself.
 
-``FareyGrid`` scores many permutations of one n at once for exhaustive
-search: the same integer slice totals, taken on the one grid of heights
-that holds every permutation's breakpoints, weighted into exact int64
-numerators over a shared denominator.
+``FareyGrid`` scores many permutations of one n at once, for exhaustive
+and heuristic search: the same integer slice totals, taken on the one
+grid of heights that holds every permutation's breakpoints, weighted
+into exact numerators over a shared denominator (int64 up to n = 21,
+Python ints from limb sums for any n up to 128).
 """
 
 from __future__ import annotations
@@ -143,23 +144,25 @@ def _interior_breakpoints(n: int, d: np.ndarray) -> tuple[np.ndarray, np.ndarray
     generated pairwise from the displacements d, clipped to (0, 1), and
     deduplicated exactly.
     """
-    cols = np.arange(n, dtype=np.int64)
     # pair generation in row slabs keeps peak memory flat for large n;
     # duplicates across slabs collapse in the final pass
     key_chunks = [np.empty(0, dtype=np.int64)]
     rows_per_slab = max(1, 131_072 // n)
     for start in range(0, n - 1, rows_per_slab):
-        stop = min(n - 1, start + rows_per_slab)
-        i_blk = np.repeat(np.arange(start, stop, dtype=np.int64), n - 1 - np.arange(start, stop))
-        j_blk = np.concatenate([cols[i + 1 :] for i in range(start, stop)])
+        rows = np.arange(start, min(n - 1, start + rows_per_slab), dtype=np.int64)
+        counts = n - 1 - rows
+        i_blk = np.repeat(rows, counts)
+        # row i lists j = i + 1 .. n - 1: the flat index past the row's first, plus i + 1
+        j_blk = np.arange(counts.sum()) + np.repeat(rows + 1 - (np.cumsum(counts) - counts), counts)
         den = d[i_blk] - d[j_blk]
         base = j_blk - i_blk
+        # with base = j - i >= 1, a candidate (base + c)/den, c in {0, 1, -1},
+        # lies in (0, 1) only if den >= base: the pairs below it give none
+        keep = den >= base
+        den, base = den[keep], base[keep]
         nums = np.concatenate([base, base + 1, base - 1])
         dens = np.concatenate([den, den, den])
-        neg = dens < 0
-        np.negative(nums, where=neg, out=nums)
-        np.negative(dens, where=neg, out=dens)
-        keep = (dens != 0) & (nums > 0) & (nums < dens)
+        keep = (nums > 0) & (nums < dens)
         nums, dens = nums[keep], dens[keep]
         g = np.gcd(nums, dens)
         nums //= g
@@ -336,6 +339,11 @@ def _sorting_network(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+# bits per limb of the grid weights: a limb below 2^31 times a capped-gap
+# sum below 2^15 (the int16 bound) over fewer than 2^17 heights stays in int64
+_LIMB_BITS = 31
+
+
 class FareyGrid:
     """Exact area kernel for many permutations of one n at once.
 
@@ -346,46 +354,57 @@ class FareyGrid:
     t_k over n*q_k at height y_k, the area is
     y_1/2 + (1 - y_K)/2 + sum_k t_k (y_(k+1) - y_(k-1)) / (2 n q_k).
     Scaled by ``denominator`` D, the lcm of all those denominators, each
-    term is an integer, so area * D is an exact int64 dot product:
-    ``offset`` plus the capped endpoint gaps at every height times
-    ``weights``.  Endpoints j0*q + d*p lie in [0, (n-1) q], so rows of
-    int16 hold them, and a sorting network orders the n strips of all
-    rows at once.
+    term is an integer: area * D is ``offset`` plus the capped endpoint
+    gaps at every height times the integer ``weights``.
+
+    D passes 2^62 at n = 22 (it is about 2^69 at n = 24), so the weights
+    are kept as 31-bit int64 ``limbs``: each limb's dot product with the
+    gaps is exact in int64, and ``areas`` recombines the limbs into
+    Python-int numerators, one ``Fraction`` per permutation, for any n
+    the table allows.  ``area_numerators`` keeps the plain int64 result
+    for exhaustive search; it, not the constructor, refuses a D of 2^62
+    or more (``fits_int64``).
+
+    Row j0 * n + v - 1 of ``table`` holds the endpoints
+    j0*q + (v - 1 - j0)*p = j0*(q - p) + (v - 1)*p of strip j0 with image
+    value v at every height: n^2 rows, all in [0, (n - 1) q], so int16
+    holds them up to n = 128 (the constructor refuses more).  A sorting
+    network orders the n strips of all rows at once.
     """
 
     def __init__(self, n: int) -> None:
         if n < 1:
             raise ValueError(f"n must be positive, got {n}")
-        # the table below also holds (j0, d) pairs no permutation has, all
-        # with |j0*q + d*p| < 4 (n-1)^2
-        if 4 * (n - 1) ** 2 >= 2**15:
+        if 2 * (n - 1) ** 2 >= 2**15:
             raise ValueError(f"n={n}: grid endpoints overflow int16")
         order = 2 * n - 2
         heights = sorted({Fraction(p, q) for q in range(2, order + 1) for p in range(1, q)})
         ys = [Fraction(0), *heights, Fraction(1)]
         end_term = ys[1] / 2 + (1 - ys[-2]) / 2
         weights = [(ys[k + 1] - ys[k - 1]) / (2 * n * ys[k].denominator) for k in range(1, len(ys) - 1)]
-        denominator = lcm(end_term.denominator, *(w.denominator for w in weights))
-        if denominator >= 2**62:
-            raise ValueError(f"n={n}: grid denominator {denominator} overflows int64")
         self.n = n
-        self.denominator = denominator
-        self.weights = np.array([w.numerator * (denominator // w.denominator) for w in weights], dtype=np.int64)
+        self.denominator = denominator = lcm(end_term.denominator, *(w.denominator for w in weights))
+        self.weights = tuple(w.numerator * (denominator // w.denominator) for w in weights)
+        size = -(-denominator.bit_length() // _LIMB_BITS)
+        mask = (1 << _LIMB_BITS) - 1
+        self.limbs = np.array(
+            [[(w >> (_LIMB_BITS * i)) & mask for i in range(size)] for w in self.weights], dtype=np.int64
+        ).reshape(len(heights), size)
         p = np.array([y.numerator for y in heights], dtype=np.int16)
         self.q = np.array([y.denominator for y in heights], dtype=np.int16)
         # the union of n width-q intervals is q plus the capped gaps
-        self.offset = int(end_term * denominator) + int(self.q.astype(np.int64) @ self.weights)
-        # row j0 * (2n - 1) + d + n - 1 holds strip j0's endpoints j0*q + d*p
-        j0 = np.repeat(np.arange(n, dtype=np.int16), 2 * n - 1)[:, None]
-        d = np.tile(np.arange(1 - n, n, dtype=np.int16), n)[:, None]
-        self.table = j0 * self.q + d * p
+        self.offset = int(end_term * denominator) + sum(q * w for q, w in zip(self.q.tolist(), self.weights))
+        # one strip of rows at a time, with no full-size temporary
+        self.table = np.empty((n * n, len(heights)), dtype=np.int16)
+        value_p = np.arange(n, dtype=np.int16)[:, None] * p
+        for j0 in range(n):
+            np.add(value_p, j0 * (self.q - p), out=self.table[j0 * n : (j0 + 1) * n])
         self.network = _sorting_network(n)
 
-    def area_numerators(self, images: np.ndarray) -> np.ndarray:
-        """area * ``denominator`` for each row of 1-based images, as int64."""
+    def _limb_sums(self, images: np.ndarray) -> np.ndarray:
+        """Each limb's dot product with the capped gaps, per row of 1-based images."""
         n = self.n
-        # image value v at 0-based position j0 means displacement v - 1 - j0
-        rows = list(self.table[images.T + (np.arange(n) * (2 * n - 2) + n - 2)[:, None]])
+        rows = list(self.table[images.T + (np.arange(n) * n - 1)[:, None]])
         # one contiguous ufunc call per comparator: 4-7x faster at n = 8..13
         # than np.sort on the last axis of a (B, K, n) copy
         spare = np.empty_like(rows[0])
@@ -398,7 +417,28 @@ class FareyGrid:
             np.subtract(hi, lo, out=spare)
             np.minimum(spare, self.q, out=spare)
             gaps += spare
-        return self.offset + gaps @ self.weights
+        return gaps @ self.limbs
+
+    @property
+    def fits_int64(self) -> bool:
+        """Whether ``area_numerators`` can return int64 numerators (D < 2^62)."""
+        return self.denominator < 2**62
+
+    def area_numerators(self, images: np.ndarray) -> np.ndarray:
+        """area * ``denominator`` for each row of 1-based images, as int64."""
+        if not self.fits_int64:
+            raise ValueError(f"n={self.n}: grid denominator {self.denominator} overflows int64")
+        # with D < 2^62 there are at most two limbs, and the high one shifted
+        # is at most the whole numerator
+        sums = self._limb_sums(images)
+        return self.offset + (sums << (_LIMB_BITS * np.arange(sums.shape[1]))).sum(axis=1)
+
+    def areas(self, images: np.ndarray) -> list[Fraction]:
+        """Exact area of each row of 1-based images, for any n."""
+        return [
+            Fraction(self.offset + sum(limb << (_LIMB_BITS * i) for i, limb in enumerate(row)), self.denominator)
+            for row in self._limb_sums(images).tolist()
+        ]
 
 
 @lru_cache(maxsize=16)

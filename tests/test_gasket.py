@@ -14,6 +14,7 @@ from trapmeasure.gasket import (
     _anchor_columns,
     _exact_sum,
     _project_exact,
+    _project_numeric,
     decay_fit,
     favard,
     gasket_anchors,
@@ -134,6 +135,23 @@ def test_anchor_columns_equal_anchor_pairs(depth):
         (x * scale, y * scale) for x, y in gasket_anchors(GasketSpec(depth))
     ]
 
+
+
+@pytest.mark.parametrize("depth", [0, 3, 8])
+def test_anchor_columns_cached_read_only(depth):
+    xs, ys = _anchor_columns(depth)
+    assert _anchor_columns(depth)[0] is xs and _anchor_columns(depth)[1] is ys
+    assert not xs.flags.writeable and not ys.flags.writeable
+    with pytest.raises(ValueError):
+        xs[0] = 1.0
+    # the shared columns give bit for bit the projection of freshly built ones
+    fresh = _anchor_columns.__wrapped__(depth)
+    spec = GasketSpec(depth)
+    for theta in (0.0, 0.3, math.pi / 4, 2.0, 3.0):
+        proj = project(spec, Direction.from_angle(theta))
+        starts, ends = _project_numeric(fresh, depth, theta)
+        assert proj.parts == tuple(zip(starts.tolist(), ends.tolist()))
+        assert proj.measure == math.fsum((ends - starts).tolist())
 
 def _reference_projection(depth, theta):
     """Corner min/max per triangle, stable argsort, running-max merge."""

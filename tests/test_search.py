@@ -1,5 +1,6 @@
 import math
 import os
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from trapmeasure import search
 from trapmeasure.permutations import (
+    Permutation,
     canonical_class,
     composite_permutation,
     digit_swap_permutation,
@@ -234,6 +236,115 @@ class TestHeuristic:
             alpha_heuristic(3, budget=2, seed=1)
         assert alpha_heuristic(2, budget=2, seed=1).perms_evaluated == 2
         assert alpha_heuristic(3, budget=3, seed=1).perms_evaluated == 3
+
+
+def _sequential_heuristic(n, budget, seed):
+    """The heuristic's descent with one exact sweep per distinct permutation.
+
+    The reference the batched search must reproduce: the same seeds,
+    first-improvement order, budget accounting and restarts.
+    """
+    seeds = []
+    for candidate in (identity(n), reversal(n), composite_permutation(n)):
+        if candidate.image not in seeds:
+            seeds.append(candidate.image)
+    rng = random.Random(seed)
+    cache = {}
+    attempts = 0
+
+    def evaluate(image):
+        nonlocal attempts
+        attempts += 1
+        if image not in cache:
+            cache[image] = area.__wrapped__(TrapezoidSpec(n, Permutation(image)))
+        return cache[image]
+
+    best_image = min(seeds, key=lambda img: (evaluate(img), img))
+    best_area = cache[best_image]
+    space = math.factorial(n) if n <= 12 else None
+    current, current_area = best_image, best_area
+    while attempts < budget:
+        if space is not None and len(cache) >= space:
+            break
+        improved = False
+        for pos in range(n - 1):
+            if attempts >= budget:
+                break
+            neighbor = list(current)
+            neighbor[pos], neighbor[pos + 1] = neighbor[pos + 1], neighbor[pos]
+            neighbor = tuple(neighbor)
+            value = evaluate(neighbor)
+            if (value, neighbor) < (current_area, current):
+                current, current_area = neighbor, value
+                improved = True
+                break
+        if (current_area, current) < (best_area, best_image):
+            best_area, best_image = current_area, current
+        if not improved and attempts < budget:
+            restart = list(range(1, n + 1))
+            rng.shuffle(restart)
+            current = tuple(restart)
+            current_area = evaluate(current)
+            if (current_area, current) < (best_area, best_image):
+                best_area, best_image = current_area, current
+    return best_area, best_image, len(cache)
+
+
+def _record(n, budget, seed):
+    record = alpha_heuristic(n, budget=budget, seed=seed)
+    return record.alpha, record.argmin.image, record.perms_evaluated
+
+
+CAP = search.HEURISTIC_GRID_MAX_N
+
+
+class TestBatchedHeuristic:
+    @pytest.mark.parametrize("n", range(2, 14))
+    def test_small_n_matches_sequential_descent(self, n):
+        # n <= 4 exhausts the space; the budgets end scans at varied places
+        for seed, budget in ((0, 50), (3, 200), (42, 120)):
+            assert _record(n, budget, seed) == _sequential_heuristic(n, budget, seed)
+
+    @pytest.mark.parametrize(
+        "n, seed, budget",
+        [(16, 5, 500), (24, 1, 500), (24, 223970981, 500), (24, 9, 13), (24, 7, 61), (CAP, 5, 300), (CAP + 1, 5, 300)],
+    )
+    def test_large_n_matches_sequential_descent(self, n, seed, budget):
+        # budget 13 at n = 24 cuts the first scan after 10 of its 23 swaps
+        assert _record(n, budget, seed) == _sequential_heuristic(n, budget, seed)
+
+    def test_grid_path_makes_one_sweep(self, monkeypatch):
+        calls = []
+
+        def counting_area(spec):
+            calls.append(spec.n)
+            return area(spec)
+
+        monkeypatch.setattr(search, "area", counting_area)
+        record = alpha_heuristic(CAP, budget=200, seed=2)
+        # the cross-check of the reported minimum and nothing else
+        assert calls == [CAP]
+        calls.clear()
+        record = alpha_heuristic(CAP + 1, budget=60, seed=2)
+        assert len(calls) == record.perms_evaluated
+
+    def test_wrong_exact_sweep_trips_cross_check(self, monkeypatch):
+        monkeypatch.setattr(search, "area", lambda spec: F(1))
+        with pytest.raises(AssertionError, match="grid kernel"):
+            alpha_heuristic(12, budget=80, seed=0)
+
+    def test_corrupted_grid_value_trips_cross_check(self, monkeypatch):
+        class CorruptGrid:
+            def __init__(self, grid):
+                self.grid = grid
+
+            def areas(self, images):
+                return [value - F(1, 10**6) for value in self.grid.areas(images)]
+
+        real = search.farey_grid
+        monkeypatch.setattr(search, "farey_grid", lambda n: CorruptGrid(real(n)))
+        with pytest.raises(AssertionError, match="grid kernel"):
+            alpha_heuristic(20, budget=80, seed=0)
 
 
 class TestScan:

@@ -582,13 +582,59 @@ class TestFareyGrid:
             rows[a], rows[b] = np.minimum(rows[a], rows[b]), np.maximum(rows[a], rows[b])
         assert all((lo <= hi).all() for lo, hi in zip(rows, rows[1:]))
 
+    @pytest.mark.parametrize("n", [16, 20, 24, 32])
+    def test_exact_areas_match_sweep_beyond_int64(self, n):
+        rng = random.Random(n)
+        images = [reversal(n).image, composite_permutation(n).image]
+        for _ in range(12):
+            image = list(range(1, n + 1))
+            rng.shuffle(image)
+            images.append(tuple(image))
+        grid = farey_grid(n)
+        exact = [area.__wrapped__(spec_of(img)) for img in images]
+        assert grid.areas(np.array(images)) == exact
+        assert (n >= 24) == (not grid.fits_int64) == (grid.limbs.shape[1] > 2)
+        if grid.fits_int64:
+            # from n = 16 the int64 numerators need the high limb
+            assert grid.limbs[:, 1].any()
+            assert grid_areas(n, images) == exact
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 13])
+    def test_exact_areas_equal_int64_numerators(self, n):
+        rng = random.Random(n)
+        images = []
+        for _ in range(20):
+            image = list(range(1, n + 1))
+            rng.shuffle(image)
+            images.append(tuple(image))
+        assert farey_grid(n).areas(np.array(images)) == grid_areas(n, images)
+
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_table_rows_by_strip_and_image_value(self, n):
+        grid = farey_grid(n)
+        assert grid.table.dtype == np.int16 and grid.table.shape == (n * n, len(grid.weights))
+        heights = sorted({F(p, q) for q in range(2, 2 * n - 1) for p in range(1, q)})
+        for j0 in range(n):
+            for v in range(1, n + 1):
+                want = [j0 * y.denominator + (v - 1 - j0) * y.numerator for y in heights]
+                assert grid.table[j0 * n + v - 1].tolist() == want
+
     def test_limits_refused(self):
         with pytest.raises(ValueError):
             FareyGrid(0)
-        with pytest.raises(ValueError, match="denominator"):
-            FareyGrid(40)
+        # endpoints reach 2 (n - 1)^2: n = 128 fits int16, n = 129 is refused
+        # before any table is built
         with pytest.raises(ValueError, match="int16"):
-            FareyGrid(92)
+            FareyGrid(129)
+
+    def test_int64_numerators_refused_above_the_denominator_limit(self):
+        # the grid itself is exact at any n; only the int64 numerators are refused
+        grid = FareyGrid(40)
+        assert not grid.fits_int64
+        image = np.array([reversal(40).image])
+        with pytest.raises(ValueError, match="denominator"):
+            grid.area_numerators(image)
+        assert grid.areas(image) == [area.__wrapped__(TrapezoidSpec(40, reversal(40)))]
 
 
 class TestAreaOracle:
