@@ -10,21 +10,24 @@ its exact integral.
 The sweep finds every height where two endpoint lines cross or come
 within one interval width of each other (the only places the measure's
 slope can change) and evaluates the slice measure exactly there.
-Endpoints at a fixed rational height y = p/q share the denominator n*q,
-so each evaluation is pure integer work: the sweep returns the heights
-p/q and the totals t (the measure is t/(n*q)) as int64 arrays, with no
-Fraction or Python int built per breakpoint.  The arithmetic runs
-through numpy in cache-sized blocks, in int32 when q*(n + max|d|) < 2^30
-bounds every endpoint and gap, else in int64 (refused at 2^62).
 Candidate heights are reduced p/q with q < 2n, so distinct ones differ
 by more than 1/(4n^2); they are deduplicated by sorting packed integer
 keys (on numpy >= 2.3 ``np.unique`` hashes int64 input, which is several
 times slower), then sorted by float value, with a cross-multiplied check
 that the order is strict.
 
-A self-inverse permutation (every digit-swap and composite one) has a
-profile symmetric about y = 1/2, so only its lower half is swept.  n
-times the slice measure has integer slopes, so ``area`` integrates the
+The values come from the interval ends, not from each height: n times
+the slice measure is the sum of the union's exposed right ends minus the
+sum of its exposed left ends, and each end is covered on intervals
+between candidate heights, at most two per pair of strips.  One sort of
+packed int64 event keys per slab of strips gives every end's covered
+runs, whose starts and stops step integer sums C and D, with n times the
+measure C + D*y between candidates.  The total at y = p/q, over the
+denominator n*q, is then q*C + p*D: the sweep returns the heights and
+totals as int64 arrays, with no Fraction or Python int built per
+breakpoint and no per-height sort.
+
+n times the slice measure has integer slopes, so ``area`` integrates the
 sweep's arrays from the slope changes, with no profile in between:
 int64 work per breakpoint, Python ints per distinct q, and one
 Fraction, for n up to ``SLOPE_MAX_N`` (27,554).  ``slice_profile``
@@ -110,8 +113,9 @@ def _displacements(spec: TrapezoidSpec) -> list[int]:
 def slice_at(spec: TrapezoidSpec, y: RationalLike) -> IntervalUnion:
     """Exact horizontal slice at height y as a canonical interval union.
 
-    At y = p/q the parts are [j0*q + d*p, j0*q + d*p + q] over n*q, the
-    same integers the sweep sorts in ``_slice_totals``.
+    At y = p/q the parts are [j0*q + d*p, j0*q + d*p + q] over n*q; the
+    sweep's ``_slice_totals`` gives the same measure, times n*q, from the
+    exposed ends of these parts.
     """
     y = as_rational(y)
     if not 0 <= y <= 1:
@@ -124,12 +128,12 @@ def slice_at(spec: TrapezoidSpec, y: RationalLike) -> IntervalUnion:
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of an int64 array.
+    """Sorted distinct values of an int64 array, which is sorted in place.
 
     A sort and a neighbour mask: on numpy >= 2.3 ``np.unique`` hashes
     integer input, several times slower here than sorting.
     """
-    keys = np.sort(keys)
+    keys.sort()
     keep = np.empty(keys.size, dtype=bool)
     keep[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=keep[1:])
@@ -170,7 +174,10 @@ def _interior_breakpoints(n: int, d: np.ndarray) -> tuple[np.ndarray, np.ndarray
         # q < 2n, so the packed key is collision-free and distinct heights
         # are distinct doubles, which the float sort below relies on
         key_chunks.append(_distinct(nums * (2 * n + 2) + dens))
-    nums, dens = np.divmod(_distinct(np.concatenate(key_chunks)), 2 * n + 2)
+    # the chunks are freed before the final sort, which runs in place
+    keys = np.concatenate(key_chunks)
+    del key_chunks
+    nums, dens = np.divmod(_distinct(keys), 2 * n + 2)
     order = np.argsort(nums / dens)
     nums, dens = nums[order], dens[order]
     if nums.size > 1 and not np.all(nums[:-1] * dens[1:] < nums[1:] * dens[:-1]):
@@ -178,73 +185,169 @@ def _interior_breakpoints(n: int, d: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return nums, dens
 
 
+# pairs of strips per slab: about 128 kB per int64 temporary
+_SLAB_PAIRS = 16_384
+# row 0 of a slab's end keys is k + n*[j > k], row 1 is k + n*[j < k]
+_END_ROWS = np.array([[0], [1]])
+_END_FLIP = np.array([[1], [-1]])
+# the three heights (c - 1)/e, c/e and (c + 1)/e of a covering pair
+_CUT_ROWS = np.array([[-1], [0], [1]])
+
+
+def _packing(n: int) -> tuple[int, int]:
+    """Bit widths (shift, tag) of the totals sweep's packed keys for n strips.
+
+    Heights are keyed in [0, 4n^2], below 2^shift, and the 4n end tags
+    below 2^tag.  Refuses n where any int64 the sweep forms could overflow:
+    run keys stay below the sentinel 2n << shift, batch keys below
+    (4n^2 + 1) << tag, and p * 4n^2 and the totals q*C + p*D are at most
+    8n^3 (q < 2n, |C| <= n^2, |D| <= 2n^2).
+    """
+    width = 4 * n * n
+    shift, tag = width.bit_length(), (4 * n - 1).bit_length()
+    if max(2 * n << shift, width + 1 << tag, 8 * n**3) >= 2**63:
+        raise AssertionError(f"n={n}: slice sweep would overflow int64")
+    return shift, tag
+
+
 def _slice_totals(n: int, d: np.ndarray, nums: np.ndarray, dens: np.ndarray) -> np.ndarray:
     """Slice measures at y = p/q, as int64 integers over the denominator n*q.
 
-    With all n intervals sharing width q (in units of 1/(n q)) the union
-    length is q plus the capped gaps between consecutive sorted left
-    endpoints.
+    In units of 1/n strip k covers [L_k, L_k + 1] with L_k = k + d_k*y, so n
+    times the slice measure is the sum of the union's exposed right ends
+    L_k + 1 minus the sum of its exposed left ends L_k.  The right end R_k
+    is covered where some L_j - L_k lies in (0, 1], the left end L_k where
+    some L_k - L_j does.  For strips i < j with base = j - i and
+    den = d_i - d_j >= base, heights in ((base - 1)/den, base/den) cover R_i
+    and L_j, and heights in (base/den, (base + 1)/den) cover L_i and R_j.
+    Touching parallel strips (den = 0, base = 1) cover R_i and L_j at every
+    height, but they are left out: R_i and L_j then coincide, every other
+    strip covers both or neither between candidates, and exposed they
+    cancel.  No other pair covers anything in (0, 1).
+
+    Strips are taken in slabs.  A height y is keyed by floor(y * 4n^2),
+    exact and strictly increasing on 0, 1 and the candidates, whose
+    denominators are below 2n.  Each end's covered runs come from sorting
+    the starts and the stops of its intervals, packed with the end into
+    int64 keys: a run closes where the next start lies past every stop
+    before it.  A run starting at height h removes the end's share,
+    (k + 1, d_k) for R_k or (-k, -d_k) for L_k, from the integer sums C
+    and D of every piece above h, and its stop restores it; n times the
+    measure is C + D*y on each piece, so the total at p/q is q*C + p*D.
+
+    Two checks run on every call: each run starts and stops at a
+    candidate height or at 0 or 1, and at each such height the piece below
+    and the piece above give the same total.  Below 0 and above 1 every
+    end counts as exposed (C = n, D = 0), so the checks at the ends say
+    that the slice there is all of [0, 1].
     """
-    out = np.empty(nums.size, dtype=np.int64)
-    if not nums.size:
-        return out
-    # with 0 < p < q every endpoint j0*q + d*p has magnitude below the
-    # bound and every gap stays below twice it; int32 rows halve the bytes
-    # each sort moves
-    bound = int(dens.max()) * (n + int(np.abs(d).max()))
-    if bound >= 2**62:
-        raise AssertionError("slice sweep would overflow int64")
-    dtype = np.int32 if 2 * bound < 2**31 else np.int64
-    d = d.astype(dtype)
-    col = np.arange(n, dtype=dtype)
-    p_arr = nums.astype(dtype)[:, None]
-    q_arr = dens.astype(dtype)[:, None]
-    # about 128k endpoints per chunk keeps each row block in cache
-    chunk = max(1, 131_072 // n)
-    for s in range(0, nums.size, chunk):
-        e = min(nums.size, s + chunk)
-        q = q_arr[s:e]
-        los = col * q
-        los += d * p_arr[s:e]
-        los.sort(axis=1)
-        gaps = np.subtract(los[:, 1:], los[:, :-1])
-        np.minimum(gaps, q, out=gaps)
-        out[s:e] = gaps.sum(axis=1, dtype=np.int64) + q[:, 0]
-    return out
+    shift, tag = _packing(n)
+    width = 4 * n * n
+    heights = np.empty(nums.size + 2, dtype=np.int64)
+    heights[0], heights[-1] = 0, width
+    np.floor_divide(nums * width, dens, out=heights[1:-1])
+    # the jumps of C and D at each height, and what a run's edge adds to
+    # them: ends k and n + k are L_k and R_k, and tag 2n + i marks a run
+    # start on end i, which removes that end's share
+    jump_c = np.zeros(heights.size, dtype=np.int64)
+    jump_d = np.zeros(heights.size, dtype=np.int64)
+    strip = np.arange(n, dtype=np.int64)
+    share_c = np.concatenate([-strip, strip + 1, strip, -1 - strip])
+    share_d = np.concatenate([-d, d, d, -d])
+    # run starts and stops, packed as (height, end tag), held until there
+    # are about as many as heights: sorted together, each batch finds its
+    # heights in one nearly sequential pass
+    pending: list[np.ndarray] = []
 
+    def settle() -> None:
+        edges = np.concatenate(pending)
+        pending.clear()
+        edges.sort()
+        end = edges & ((1 << tag) - 1)
+        edges >>= tag
+        at = np.searchsorted(heights, edges)
+        if not np.array_equal(heights[at], edges):
+            raise AssertionError("a covered run starts or stops off the candidate heights")
+        np.add.at(jump_c, at, share_c[end])
+        np.add.at(jump_d, at, share_d[end])
 
-def _mirrored_totals(n: int, d: np.ndarray, nums: np.ndarray, dens: np.ndarray) -> np.ndarray:
-    """``_slice_totals`` of a self-inverse permutation, swept at y <= 1/2 only.
-
-    Turning the trapezoid of sigma upside down gives the trapezoid of
-    sigma^-1, so when the two are equal the slice at 1 - p/q is the slice
-    at p/q: the same union over the same n*q, hence the same total.  The
-    candidate list is then its own mirror, which is checked first.
-    """
-    if not (np.array_equal(dens, dens[::-1]) and np.array_equal(nums[::-1], dens - nums)):
-        raise AssertionError("breakpoints of a self-inverse permutation are not mirror-symmetric")
-    # the first ceil(K/2) heights are those <= 1/2 (each swapped pair crosses at 1/2)
-    half = (nums.size + 1) // 2
-    lower = _slice_totals(n, d, nums[:half], dens[:half])
-    return np.concatenate([lower, lower[: nums.size - half][::-1]])
+    held = 0
+    rows_per_slab = max(1, _SLAB_PAIRS // n)
+    for k0 in range(0, n, rows_per_slab):
+        rows = strip[k0 : k0 + rows_per_slab, None]
+        # s = j - k and e = d_k - d_j over the slab's rows k and every j: a
+        # pair covers an end of k iff s*e >= s^2 off the diagonal, that is,
+        # e and s share a sign with |e| >= |s|
+        s = strip - rows
+        e = d[rows] - d
+        bar = s * s
+        bar.ravel()[k0 :: n + 1] = 1
+        keep = s * e >= bar
+        s = s[keep]
+        if not s.size:
+            continue
+        e = np.abs(e[keep])
+        # the lower interval ((c - 1)/e, c/e), c = |s|, covers R_k when j > k
+        # and L_k when j < k; the upper interval (c/e, (c + 1)/e) covers the
+        # other end of k.  Row 0 of ``ends`` keys the lower interval's end,
+        # row 1 the upper's; rows 0..2 of ``cut`` key the heights (c - 1)/e,
+        # c/e and (c + 1)/e, the last clipped to y = 1.
+        ends = (s > 0) * _END_FLIP + _END_ROWS
+        ends *= n
+        ends += np.repeat(rows[:, 0], keep.sum(axis=1))
+        ends <<= shift
+        cut = np.abs(s) * width + _CUT_ROWS * width
+        cut //= e
+        np.minimum(cut[2], width, out=cut[2])
+        # starts and stops in one buffer each, with a sentinel on the far
+        # side, so a run boundary is one comparison of neighbours
+        size = 2 * s.size
+        starts = np.empty(size + 1, dtype=np.int64)
+        stops = np.empty(size + 1, dtype=np.int64)
+        np.add(ends, cut[:2], out=starts[:-1].reshape(2, -1))
+        np.add(ends, cut[1:], out=stops[1:].reshape(2, -1))
+        starts[-1], stops[0] = 2 * n << shift, -1
+        starts[:-1].sort()
+        stops[1:].sort()
+        # a run closes where the next start lies past every stop before it
+        split = stops < starts
+        edges = np.concatenate([starts[:-1][split[:-1]], stops[1:][split[1:]]])
+        end = edges >> shift
+        end[: edges.size // 2] += 2 * n
+        edges &= (1 << shift) - 1
+        edges <<= tag
+        edges |= end
+        pending.append(edges)
+        held += edges.size
+        if held >= heights.size:
+            settle()
+            held = 0
+    if pending:
+        settle()
+    # continuity: at y = 0 (p/q = 0/1) and y = 1 (1/1) the pieces beyond
+    # count every end as exposed, C = n and D = 0
+    jump = dens * jump_c[1:-1]
+    jump += nums * jump_d[1:-1]
+    if jump_c[0] or jump_c[-1] + jump_d[-1] or jump.any():
+        raise AssertionError("slice totals differ across a candidate height")
+    # C and D on the piece above each candidate, in place
+    np.cumsum(jump_c, out=jump_c)
+    np.cumsum(jump_d, out=jump_d)
+    jump_c += n
+    np.multiply(dens, jump_c[1:-1], out=jump)
+    jump += nums * jump_d[1:-1]
+    return jump
 
 
 def _sweep(spec: TrapezoidSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Interior breakpoints p/q and slice totals t over n*q, as int64 arrays.
 
-    Between consecutive breakpoints (and the ends y = 0, 1) the interval
-    order and overlap pattern are constant, so the measure is linear
-    there.  The value at each breakpoint is recomputed from scratch,
-    which makes coincident crossings harmless.  When sigma is its own
-    inverse (every digit-swap and composite permutation) the profile is
-    symmetric about y = 1/2, and only the lower half of the heights is
-    swept.
+    Between consecutive breakpoints (and the ends y = 0, 1) the set of
+    covered interval ends is constant, so the measure is linear there.
     """
     n = spec.n
     d = np.array(_displacements(spec), dtype=np.int64)
     nums, dens = _interior_breakpoints(n, d)
-    if spec.sigma.inverse() == spec.sigma:
-        return nums, dens, _mirrored_totals(n, d, nums, dens)
     return nums, dens, _slice_totals(n, d, nums, dens)
 
 

@@ -307,10 +307,21 @@ class TestBatchedHeuristic:
 
     @pytest.mark.parametrize(
         "n, seed, budget",
-        [(16, 5, 500), (24, 1, 500), (24, 223970981, 500), (24, 9, 13), (24, 7, 61), (CAP, 5, 300), (CAP + 1, 5, 300)],
+        [
+            (16, 5, 500),
+            (24, 1, 500),
+            (24, 223970981, 500),
+            (24, 9, 13),
+            (24, 7, 61),
+            (32, 5, 300),
+            (33, 5, 300),
+            (CAP, 5, 300),
+            (CAP + 1, 5, 300),
+        ],
     )
     def test_large_n_matches_sequential_descent(self, n, seed, budget):
-        # budget 13 at n = 24 cuts the first scan after 10 of its 23 swaps
+        # budget 13 at n = 24 cuts the first scan after 10 of its 23 swaps;
+        # CAP and CAP + 1 sit either side of the grid cap
         assert _record(n, budget, seed) == _sequential_heuristic(n, budget, seed)
 
     def test_grid_path_makes_one_sweep(self, monkeypatch):

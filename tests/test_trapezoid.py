@@ -295,10 +295,37 @@ def slice_totals_integer_reference(spec, nums, dens):
     return totals
 
 
+def block_shift(n, cut):
+    """The image that moves the first ``cut`` strips to the end: two runs of
+    parallel strips, each touching its neighbours at every height (den = 0)."""
+    return tuple(range(n - cut + 1, n + 1)) + tuple(range(1, n - cut + 1))
+
+
+def kernel_totals(spec):
+    """Candidate heights and the event sweep's totals, as int lists."""
+    disp = displacements(spec)
+    nums, dens = trapezoid._interior_breakpoints(spec.n, disp)
+    totals = trapezoid._slice_totals(spec.n, disp, nums, dens)
+    assert totals.dtype == np.int64
+    return nums.tolist(), dens.tolist(), totals.tolist()
+
+
+def assert_totals_match_reference(spec, sample=None):
+    """The sweep's totals against the sorted-endpoint integer reference, at
+    every height, or at ``sample`` seeded heights when there are more."""
+    nums, dens, totals = kernel_totals(spec)
+    picked = range(len(nums))
+    if sample is not None and len(nums) > sample:
+        picked = sorted(random.Random(spec.n).sample(picked, sample))
+    want = slice_totals_integer_reference(spec, [nums[k] for k in picked], [dens[k] for k in picked])
+    assert [totals[k] for k in picked] == want
+
+
 class TestSliceTotals:
     @staticmethod
     def specs():
         rng = random.Random(23)
+        yield spec_of((1,))
         # every size from the smallest numpy-path input up to the old cutoff
         for n in range(2, 49):
             image = list(range(1, n + 1))
@@ -313,6 +340,8 @@ class TestSliceTotals:
             yield TrapezoidSpec(3**m, digit_swap_permutation(m))
         yield TrapezoidSpec(60, identity(60))
         yield TrapezoidSpec(60, reversal(60))
+        for n, cut in ((2, 1), (7, 3), (40, 1), (60, 25)):
+            yield spec_of(block_shift(n, cut))
 
     def test_breakpoint_paths_agree(self):
         # the numpy sweep against the pure-Fraction candidate list
@@ -322,33 +351,79 @@ class TestSliceTotals:
             assert (nums, dens) == ([y.numerator for y in ordered], [y.denominator for y in ordered])
 
     def test_numpy_path_matches_python_path(self):
-        # the numpy sorted-gap totals against plain Python integers, and the
+        # the event sweep's totals against plain Python integers, and the
         # integer reference against the merged slice_at union at small n
         for spec in self.specs():
-            disp = displacements(spec)
-            nums, dens = trapezoid._interior_breakpoints(spec.n, disp)
-            totals = trapezoid._slice_totals(spec.n, disp, nums, dens)
-            assert totals.dtype == np.int64
-            expected = slice_totals_integer_reference(spec, nums.tolist(), dens.tolist())
-            assert totals.tolist() == expected
+            nums, dens, totals = kernel_totals(spec)
+            expected = slice_totals_integer_reference(spec, nums, dens)
+            assert totals == expected
             if spec.n <= 12:
-                assert expected == slice_totals_reference(spec, nums.tolist(), dens.tolist())
+                assert expected == slice_totals_reference(spec, nums, dens)
 
-    @pytest.mark.parametrize("q", [2**23 - 1, 2**23, 2**23 + 3, 2**26])
-    def test_heights_around_the_int32_bound(self, q):
-        # n = 65 with one transposition reaching |d| = 63: the numpy path
-        # picks int32 iff 2*q*(n + 63) = 2^8*q < 2^31, i.e. q < 2^23; at
-        # q = 2^26 the endpoints themselves pass 2^31
-        n = 65
-        image = list(range(1, n + 1))
-        image[0], image[63] = image[63], image[0]
-        spec = spec_of(image)
-        disp = displacements(spec)
-        assert np.abs(disp).max() == 63
-        nums = [1, q // 3, q // 2 + 1, q - 1]
-        dens = [q] * len(nums)
-        totals = trapezoid._slice_totals(n, disp, np.array(nums, dtype=np.int64), np.array(dens, dtype=np.int64))
-        assert totals.tolist() == slice_totals_reference(spec, nums, dens)
+    def test_every_permutation_up_to_six(self):
+        seen = 0
+        for n in range(1, 7):
+            for spec in all_specs(n):
+                assert_totals_match_reference(spec)
+                seen += 1
+        assert seen == 873
+
+    def test_random_permutations_up_to_320(self):
+        rng = random.Random(320)
+        for n in [64, 115, 166, 218, 269, 320] + [rng.randint(49, 320) for _ in range(4)]:
+            image = list(range(1, n + 1))
+            rng.shuffle(image)
+            assert_totals_match_reference(spec_of(image), sample=400)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 30, 101])
+    def test_touching_and_extreme_shapes(self, n):
+        # identity and block shifts keep strips touching (den = 0) at every
+        # height; the reversal sends every pair through one crossing
+        images = [identity(n).image, reversal(n).image]
+        images += [block_shift(n, cut) for cut in {1, n // 3, n // 2, n - 1} if 0 < cut < n]
+        for image in images:
+            assert_totals_match_reference(spec_of(image))
+
+    def test_dropped_candidate_refused(self, monkeypatch):
+        # a candidate where the slope changes is where some end's covered run
+        # starts or stops, so the sweep cannot skip it
+        spec = TrapezoidSpec(9, digit_swap_permutation(2))
+        nums, dens, totals = trapezoid._sweep(spec)
+        p, q, t = (0, *nums.tolist(), 1), (1, *dens.tolist(), 1), (9, *totals.tolist(), 9)
+        slopes = [F(t[k + 1], q[k + 1]) - F(t[k], q[k]) for k in range(len(p) - 1)]
+        slopes = [rise / (F(p[k + 1], q[k + 1]) - F(p[k], q[k])) for k, rise in enumerate(slopes)]
+        kinks = [k for k in range(len(nums)) if slopes[k] != slopes[k + 1]]
+        assert kinks
+        points = trapezoid._interior_breakpoints
+        for k in kinks:
+
+            def forged(n, disp, k=k):
+                return tuple(np.delete(column, k) for column in points(n, disp))
+
+            monkeypatch.setattr(trapezoid, "_interior_breakpoints", forged)
+            with pytest.raises(AssertionError, match="off the candidate heights"):
+                area.__wrapped__(spec)
+
+    def test_height_off_its_key_refused(self):
+        # 37/73 has the height key floor(y * 4n^2) = 18 of the crossing at 1/2
+        # for n = 3, so every run lines up, but the pieces either side of the
+        # kink give different totals there
+        disp = displacements(spec_of((1, 3, 2)))
+        assert 37 * 36 // 73 == 1 * 36 // 2
+        with pytest.raises(AssertionError, match="differ across a candidate height"):
+            trapezoid._slice_totals(3, disp, np.array([37]), np.array([73]))
+        assert trapezoid._slice_totals(3, disp, np.array([1]), np.array([2])).tolist() == [4]
+
+    def test_int64_bound_covers_every_area_size(self):
+        # the largest int64 of the sweep, from the packed key widths: far
+        # inside int64 at the largest n that area accepts
+        n = trapezoid.SLOPE_MAX_N
+        shift, tag = trapezoid._packing(n)
+        assert 4 * n * n < 2**shift and 4 * n <= 2**tag
+        assert max(2 * n << shift, 4 * n * n + 1 << tag, 8 * n**3) < 2**50
+        # refused before any array is read: these inputs are not even arrays
+        with pytest.raises(AssertionError, match="overflow int64"):
+            trapezoid._slice_totals(2**20, None, None, None)
 
 
 def random_involution(rng, n):
@@ -361,69 +436,30 @@ def random_involution(rng, n):
     return Permutation(tuple(image))
 
 
-def full_and_mirrored_totals(spec):
-    assert spec.sigma.inverse() == spec.sigma
-    disp = displacements(spec)
-    nums, dens = trapezoid._interior_breakpoints(spec.n, disp)
-    args = (spec.n, disp, nums, dens)
-    return trapezoid._slice_totals(*args).tolist(), trapezoid._mirrored_totals(*args).tolist()
-
-
 class TestMirroredTotals:
+    """Self-inverse permutations: every digit-swap and composite one, with
+    profiles symmetric about y = 1/2, swept in full like any other."""
+
     def test_every_involution_up_to_eight(self):
         seen = 0
         for n in range(1, 9):
             for image in itertools_permutations(range(1, n + 1)):
                 spec = spec_of(image)
                 if spec.sigma.inverse() == spec.sigma:
-                    full, mirrored = full_and_mirrored_totals(spec)
-                    assert mirrored == full
+                    assert_totals_match_reference(spec)
                     seen += 1
         assert seen == 1115
 
     def test_random_involutions_up_to_300(self):
         rng = random.Random(31)
         for n in [9, 10, 49, 300] + [rng.randint(9, 300) for _ in range(16)]:
-            full, mirrored = full_and_mirrored_totals(TrapezoidSpec(n, random_involution(rng, n)))
-            assert mirrored == full
+            assert_totals_match_reference(TrapezoidSpec(n, random_involution(rng, n)), sample=400)
 
     def test_digit_swap_and_composite_families(self):
         specs = [TrapezoidSpec(3**m, digit_swap_permutation(m)) for m in range(6)]
         specs += [TrapezoidSpec(n, composite_permutation(n)) for n in range(1, 101)]
         for spec in specs:
-            full, mirrored = full_and_mirrored_totals(spec)
-            assert mirrored == full
-
-    def test_profile_sweeps_only_the_lower_half(self, monkeypatch):
-        spec = TrapezoidSpec(27, digit_swap_permutation(3))
-        full, _ = full_and_mirrored_totals(spec)
-        swept = []
-        sweep = trapezoid._slice_totals
-
-        def recording(n, disp, nums, dens):
-            swept.extend(zip(nums.tolist(), dens.tolist()))
-            return sweep(n, disp, nums, dens)
-
-        monkeypatch.setattr(trapezoid, "_slice_totals", recording)
-        profile = slice_profile(spec)
-        assert list(profile.v_num[1:-1]) == full
-        assert swept and all(2 * p <= q for p, q in swept)
-        assert len(swept) == (len(full) + 1) // 2
-
-    def test_asymmetric_candidates_refused(self, monkeypatch):
-        spec = TrapezoidSpec(27, digit_swap_permutation(3))
-        points = trapezoid._interior_breakpoints
-
-        def forged(n, disp):
-            nums, dens = points(n, disp)
-            return nums[1:], dens[1:]
-
-        monkeypatch.setattr(trapezoid, "_interior_breakpoints", forged)
-        with pytest.raises(AssertionError, match="mirror-symmetric"):
-            slice_profile(spec)
-        # same denominators, one numerator moved off its mirror image
-        with pytest.raises(AssertionError, match="mirror-symmetric"):
-            trapezoid._mirrored_totals(3, np.array([1, 0, -1]), np.array([1, 2]), np.array([4, 4]))
+            assert_totals_match_reference(spec)
 
 
 class TestSlopeIntegration:
@@ -538,9 +574,9 @@ class TestAreaCrossValidation:
         )
 
     def test_digit_swap_order_seven_pinned(self):
-        # 330,709 breakpoints, swept from the lower half and integrated
-        # from slope changes; the value was computed by the earlier
-        # full sweep with integrate_plp
+        # 330,709 breakpoints, totals from the exposed-end event sweep,
+        # integrated from slope changes; the value was computed by the
+        # earlier sorted-endpoint sweep with integrate_plp
         pinned = F((Path(__file__).parent / "data" / "area_digit_swap_7.txt").read_text().strip())
         assert area.__wrapped__(TrapezoidSpec(3**7, digit_swap_permutation(7))) == pinned
 
