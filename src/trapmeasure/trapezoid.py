@@ -19,10 +19,10 @@ that the order is strict.
 The values come from the interval ends, not from each height: n times
 the slice measure is the sum of the union's exposed right ends minus the
 sum of its exposed left ends, and each end is covered on intervals
-between candidate heights, at most two per pair of strips.  One sort of
-packed int64 event keys per slab of strips gives every end's covered
-runs, whose starts and stops step integer sums C and D, with n times the
-measure C + D*y between candidates.  The total at y = p/q, over the
+between candidate heights, at most two per pair of strips.  Sorting the
+intervals' packed int64 start and stop keys once per slab of strips
+gives every end's covered runs, whose starts and stops step integer sums
+C and D, with n times the measure C + D*y between candidates.  The total at y = p/q, over the
 denominator n*q, is then q*C + p*D: the sweep returns the heights and
 totals as int64 arrays, with no Fraction or Python int built per
 breakpoint and no per-height sort.
@@ -309,11 +309,16 @@ def _slice_totals(n: int, d: np.ndarray, nums: np.ndarray, dens: np.ndarray) -> 
         starts[-1], stops[0] = 2 * n << shift, -1
         starts[:-1].sort()
         stops[1:].sort()
-        # a run closes where the next start lies past every stop before it
-        split = stops < starts
-        edges = np.concatenate([starts[:-1][split[:-1]], stops[1:][split[1:]]])
+        # a run starts at starts[i] when every stop before it, the last
+        # being stops[i], lies below it, and closes at stops[i'] for the
+        # next such i'; the sentinels put 0 and ``size`` in ``cuts``
+        cuts = np.flatnonzero(stops < starts)
+        runs = cuts.size - 1
+        edges = np.empty(2 * runs, dtype=np.int64)
+        np.take(starts, cuts[:-1], out=edges[:runs])
+        np.take(stops, cuts[1:], out=edges[runs:])
         end = edges >> shift
-        end[: edges.size // 2] += 2 * n
+        end[:runs] += 2 * n
         edges &= (1 << shift) - 1
         edges <<= tag
         edges |= end
