@@ -515,6 +515,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # exact values print in full: the digit-swap area at m = 9 has integers
+    # of over 8,000 digits, past Python's default limit of 4,300
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

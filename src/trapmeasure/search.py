@@ -63,7 +63,7 @@ POOL_MIN_RANKS = 100_000
 # largest n whose heuristic scores each neighbourhood in one Farey-grid call;
 # past it the grid's K ~ 0.3 (2n)^2 heights cost more than one exact sweep
 # per permutation
-HEURISTIC_GRID_MAX_N = 40
+HEURISTIC_GRID_MAX_N = 34
 
 
 def resolve_workers(workers: int | None = None) -> int:

@@ -7,29 +7,23 @@ n intervals of width exactly 1/n whose left endpoints move linearly in y,
 so the slice measure is a piecewise-linear function of y and the area is
 its exact integral.
 
-The sweep finds every height where two endpoint lines cross or come
-within one interval width of each other (the only places the measure's
-slope can change) and evaluates the slice measure exactly there.
-Candidate heights are reduced p/q with q < 2n, so distinct ones differ
-by more than 1/(4n^2); they are deduplicated by sorting packed integer
-keys (on numpy >= 2.3 ``np.unique`` hashes int64 input, which is several
-times slower), then sorted by float value, with a cross-multiplied check
-that the order is strict.
-
-The values come from the interval ends, not from each height: n times
-the slice measure is the sum of the union's exposed right ends minus the
-sum of its exposed left ends, and each end is covered on intervals
-between candidate heights, at most two per pair of strips.  Sorting the
-intervals' packed int64 start and stop keys once per slab of strips
-gives every end's covered runs, whose starts and stops step integer sums
-C and D, with n times the measure C + D*y between candidates.  The total at y = p/q, over the
-denominator n*q, is then q*C + p*D: the sweep returns the heights and
-totals as int64 arrays, with no Fraction or Python int built per
-breakpoint and no per-height sort.
+The sweep finds the heights where the measure's slope changes, its kinks,
+and evaluates the slice measure exactly there.  n times the slice
+measure is the sum of the union's exposed right ends minus the sum of its
+exposed left ends.  Each end is covered on at most two open intervals per
+pair of strips, between heights p/q with q < 2n, so one sort of packed
+int64 start and stop keys per slab of strips gives every end's covered
+runs.  A run's edges step integer sums C and D, with n times the measure
+C + D*y between edges.  The measure is continuous, so at each edge height
+the summed jumps satisfy dC + dD*y = 0: the slope changes iff dD != 0, at
+y = -dC/dD.  The total at a kink y = p/q, over the denominator n*q, is
+q*C + p*D: the sweep returns the kinks and totals as int64 arrays, with
+no Fraction or Python int built per kink, no list of candidate heights
+and no per-height sort.
 
 n times the slice measure has integer slopes, so ``area`` integrates the
 sweep's arrays from the slope changes, with no profile in between:
-int64 work per breakpoint, Python ints per distinct q, and one
+int64 work per kink, Python ints per distinct q, and one
 Fraction, for n up to ``SLOPE_MAX_N`` (27,554).  ``slice_profile``
 wraps the same arrays in a ``PiecewiseLinearProfile`` for callers that
 read the profile itself.
@@ -113,9 +107,9 @@ def _displacements(spec: TrapezoidSpec) -> list[int]:
 def slice_at(spec: TrapezoidSpec, y: RationalLike) -> IntervalUnion:
     """Exact horizontal slice at height y as a canonical interval union.
 
-    At y = p/q the parts are [j0*q + d*p, j0*q + d*p + q] over n*q; the
-    sweep's ``_slice_totals`` gives the same measure, times n*q, from the
-    exposed ends of these parts.
+    At y = p/q the parts are [j0*q + d*p, j0*q + d*p + q] over n*q; at the
+    kinks, ``_sweep`` gives the same measure, times n*q, from the exposed
+    ends of these parts.
     """
     y = as_rational(y)
     if not 0 <= y <= 1:
@@ -127,66 +121,10 @@ def slice_at(spec: TrapezoidSpec, y: RationalLike) -> IntervalUnion:
     return IntervalUnion(lo, hi, spec.n * q)
 
 
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of an int64 array, which is sorted in place.
-
-    A sort and a neighbour mask: on numpy >= 2.3 ``np.unique`` hashes
-    integer input, several times slower here than sorting.
-    """
-    keys.sort()
-    keep = np.empty(keys.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    return keys[keep]
-
-
-def _interior_breakpoints(n: int, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced interior breakpoint candidates (p, q) as int64 arrays, sorted by value.
-
-    Candidates are the heights where two left-endpoint lines meet
-    (L_i = L_j) or differ by exactly one width (L_i = L_j +- 1/n),
-    generated pairwise from the displacements d, clipped to (0, 1), and
-    deduplicated exactly.
-    """
-    # pair generation in row slabs keeps peak memory flat for large n;
-    # duplicates across slabs collapse in the final pass
-    key_chunks = [np.empty(0, dtype=np.int64)]
-    rows_per_slab = max(1, 131_072 // n)
-    for start in range(0, n - 1, rows_per_slab):
-        rows = np.arange(start, min(n - 1, start + rows_per_slab), dtype=np.int64)
-        counts = n - 1 - rows
-        i_blk = np.repeat(rows, counts)
-        # row i lists j = i + 1 .. n - 1: the flat index past the row's first, plus i + 1
-        j_blk = np.arange(counts.sum()) + np.repeat(rows + 1 - (np.cumsum(counts) - counts), counts)
-        den = d[i_blk] - d[j_blk]
-        base = j_blk - i_blk
-        # with base = j - i >= 1, a candidate (base + c)/den, c in {0, 1, -1},
-        # lies in (0, 1) only if den >= base: the pairs below it give none
-        keep = den >= base
-        den, base = den[keep], base[keep]
-        nums = np.concatenate([base, base + 1, base - 1])
-        dens = np.concatenate([den, den, den])
-        keep = (nums > 0) & (nums < dens)
-        nums, dens = nums[keep], dens[keep]
-        g = np.gcd(nums, dens)
-        nums //= g
-        dens //= g
-        # q < 2n, so the packed key is collision-free and distinct heights
-        # are distinct doubles, which the float sort below relies on
-        key_chunks.append(_distinct(nums * (2 * n + 2) + dens))
-    # the chunks are freed before the final sort, which runs in place
-    keys = np.concatenate(key_chunks)
-    del key_chunks
-    nums, dens = np.divmod(_distinct(keys), 2 * n + 2)
-    order = np.argsort(nums / dens)
-    nums, dens = nums[order], dens[order]
-    if nums.size > 1 and not np.all(nums[:-1] * dens[1:] < nums[1:] * dens[:-1]):
-        raise AssertionError("breakpoint ordering lost exactness")
-    return nums, dens
-
-
 # pairs of strips per slab: about 128 kB per int64 temporary
 _SLAB_PAIRS = 16_384
+# run edges held before they are merged into the summed jumps: 2 MB
+_BATCH_EDGES = 1 << 18
 # row 0 of a slab's end keys is k + n*[j > k], row 1 is k + n*[j < k]
 _END_ROWS = np.array([[0], [1]])
 _END_FLIP = np.array([[1], [-1]])
@@ -195,13 +133,16 @@ _CUT_ROWS = np.array([[-1], [0], [1]])
 
 
 def _packing(n: int) -> tuple[int, int]:
-    """Bit widths (shift, tag) of the totals sweep's packed keys for n strips.
+    """Bit widths (shift, tag) of the sweep's packed keys for n strips.
 
     Heights are keyed in [0, 4n^2], below 2^shift, and the 4n end tags
     below 2^tag.  Refuses n where any int64 the sweep forms could overflow:
-    run keys stay below the sentinel 2n << shift, batch keys below
-    (4n^2 + 1) << tag, and p * 4n^2 and the totals q*C + p*D are at most
-    8n^3 (q < 2n, |C| <= n^2, |D| <= 2n^2).
+    run keys stay below the sentinel 2n << shift and edge keys below
+    (4n^2 + 1) << tag.  The jumps of C and D summed at one height are at
+    most n^2 in size (each of the 2n ends steps at most once there, by
+    (k + 1, d_k) or (-k, -d_k)), and the kink checks' p * 4n^2 and the
+    totals q*C + p*D are at most 8n^3 (p < q < 2n, |C| <= n^2,
+    |D| <= 2n^2).
     """
     width = 4 * n * n
     shift, tag = width.bit_length(), (4 * n - 1).bit_length()
@@ -210,8 +151,8 @@ def _packing(n: int) -> tuple[int, int]:
     return shift, tag
 
 
-def _slice_totals(n: int, d: np.ndarray, nums: np.ndarray, dens: np.ndarray) -> np.ndarray:
-    """Slice measures at y = p/q, as int64 integers over the denominator n*q.
+def _edge_jumps(n: int, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Height keys where the slice measure's integer sums C and D jump, and the jumps.
 
     In units of 1/n strip k covers [L_k, L_k + 1] with L_k = k + d_k*y, so n
     times the slice measure is the sum of the union's exposed right ends
@@ -222,54 +163,57 @@ def _slice_totals(n: int, d: np.ndarray, nums: np.ndarray, dens: np.ndarray) -> 
     and L_j, and heights in (base/den, (base + 1)/den) cover L_i and R_j.
     Touching parallel strips (den = 0, base = 1) cover R_i and L_j at every
     height, but they are left out: R_i and L_j then coincide, every other
-    strip covers both or neither between candidates, and exposed they
-    cancel.  No other pair covers anything in (0, 1).
+    strip covers both or neither away from the other pairs' heights, and
+    exposed they cancel.  No other pair covers anything in (0, 1).
 
     Strips are taken in slabs.  A height y is keyed by floor(y * 4n^2),
-    exact and strictly increasing on 0, 1 and the candidates, whose
-    denominators are below 2n.  Each end's covered runs come from sorting
-    the starts and the stops of its intervals, packed with the end into
-    int64 keys: a run closes where the next start lies past every stop
-    before it.  A run starting at height h removes the end's share,
-    (k + 1, d_k) for R_k or (-k, -d_k) for L_k, from the integer sums C
-    and D of every piece above h, and its stop restores it; n times the
-    measure is C + D*y on each piece, so the total at p/q is q*C + p*D.
+    exact and strictly increasing on 0, 1 and every reduced p/q with
+    q < 2n, which holds all the heights above.  Each end's covered runs
+    come from sorting the starts and the stops of its intervals, packed
+    with the end into int64 keys: a run closes where the next start lies
+    past every stop before it.  A run starting at height h removes the
+    end's share, (k + 1, d_k) for R_k or (-k, -d_k) for L_k, from the
+    integer sums C and D of every piece above h, and its stop restores it;
+    n times the measure is C + D*y on each piece.  Below 0 every end counts
+    as exposed, C = n and D = 0.
 
-    Two checks run on every call: each run starts and stops at a
-    candidate height or at 0 or 1, and at each such height the piece below
-    and the piece above give the same total.  Below 0 and above 1 every
-    end counts as exposed (C = n, D = 0), so the checks at the ends say
-    that the slice there is all of [0, 1].
+    Returns the distinct keys of the run edges, sorted and always with 0
+    and 4n^2 (y = 0 and 1), and the summed jumps of C and D at each, as
+    int64 arrays.  Each end steps at most once at one height.
     """
     shift, tag = _packing(n)
     width = 4 * n * n
-    heights = np.empty(nums.size + 2, dtype=np.int64)
-    heights[0], heights[-1] = 0, width
-    np.floor_divide(nums * width, dens, out=heights[1:-1])
-    # the jumps of C and D at each height, and what a run's edge adds to
-    # them: ends k and n + k are L_k and R_k, and tag 2n + i marks a run
-    # start on end i, which removes that end's share
-    jump_c = np.zeros(heights.size, dtype=np.int64)
-    jump_d = np.zeros(heights.size, dtype=np.int64)
+    # what a run's edge adds to the jumps: ends k and n + k are L_k and R_k,
+    # and tag 2n + i marks a run start on end i, which removes that end's share
     strip = np.arange(n, dtype=np.int64)
     share_c = np.concatenate([-strip, strip + 1, strip, -1 - strip])
     share_d = np.concatenate([-d, d, d, -d])
-    # run starts and stops, packed as (height, end tag), held until there
-    # are about as many as heights: sorted together, each batch finds its
-    # heights in one nearly sequential pass
+    keys = np.array([0, width], dtype=np.int64)
+    jump_c = np.zeros(2, dtype=np.int64)
+    jump_d = np.zeros(2, dtype=np.int64)
+    # run starts and stops, packed as (height, end tag), held until there are
+    # _BATCH_EDGES of them or, if more, as many as keys so far, then merged
+    # into the summed jumps
     pending: list[np.ndarray] = []
 
     def settle() -> None:
+        nonlocal keys, jump_c, jump_d
         edges = np.concatenate(pending)
         pending.clear()
         edges.sort()
         end = edges & ((1 << tag) - 1)
         edges >>= tag
-        at = np.searchsorted(heights, edges)
-        if not np.array_equal(heights[at], edges):
-            raise AssertionError("a covered run starts or stops off the candidate heights")
-        np.add.at(jump_c, at, share_c[end])
-        np.add.at(jump_d, at, share_d[end])
+        # two sorted runs, which a stable sort merges in one pass
+        edges = np.concatenate((keys, edges))
+        order = np.argsort(edges, kind="stable")
+        edges = edges[order]
+        first = np.empty(edges.size, dtype=bool)
+        first[0] = True
+        np.not_equal(edges[1:], edges[:-1], out=first[1:])
+        first = np.flatnonzero(first)
+        keys = edges[first]
+        jump_c = np.add.reduceat(np.concatenate((jump_c, share_c[end]))[order], first)
+        jump_d = np.add.reduceat(np.concatenate((jump_d, share_d[end]))[order], first)
 
     held = 0
     rows_per_slab = max(1, _SLAB_PAIRS // n)
@@ -291,14 +235,14 @@ def _slice_totals(n: int, d: np.ndarray, nums: np.ndarray, dens: np.ndarray) -> 
         # and L_k when j < k; the upper interval (c/e, (c + 1)/e) covers the
         # other end of k.  Row 0 of ``ends`` keys the lower interval's end,
         # row 1 the upper's; rows 0..2 of ``cut`` key the heights (c - 1)/e,
-        # c/e and (c + 1)/e, the last clipped to y = 1.
+        # c/e and (c + 1)/e, all in [0, 1]: |e| > c, as |e| = c would give
+        # strips k and j the same top
         ends = (s > 0) * _END_FLIP + _END_ROWS
         ends *= n
         ends += np.repeat(rows[:, 0], keep.sum(axis=1))
         ends <<= shift
         cut = np.abs(s) * width + _CUT_ROWS * width
         cut //= e
-        np.minimum(cut[2], width, out=cut[2])
         # starts and stops in one buffer each, with a sentinel on the far
         # side, so a run boundary is one comparison of neighbours
         size = 2 * s.size
@@ -324,43 +268,70 @@ def _slice_totals(n: int, d: np.ndarray, nums: np.ndarray, dens: np.ndarray) -> 
         edges |= end
         pending.append(edges)
         held += edges.size
-        if held >= heights.size:
+        if held >= max(keys.size, _BATCH_EDGES):
             settle()
             held = 0
     if pending:
         settle()
-    # continuity: at y = 0 (p/q = 0/1) and y = 1 (1/1) the pieces beyond
-    # count every end as exposed, C = n and D = 0
-    jump = dens * jump_c[1:-1]
-    jump += nums * jump_d[1:-1]
-    if jump_c[0] or jump_c[-1] + jump_d[-1] or jump.any():
-        raise AssertionError("slice totals differ across a candidate height")
-    # C and D on the piece above each candidate, in place
-    np.cumsum(jump_c, out=jump_c)
-    np.cumsum(jump_d, out=jump_d)
-    jump_c += n
-    np.multiply(dens, jump_c[1:-1], out=jump)
-    jump += nums * jump_d[1:-1]
-    return jump
+    return keys, jump_c, jump_d
+
+
+def _kinks(
+    n: int, keys: np.ndarray, jump_c: np.ndarray, jump_d: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kinks p/q of the slice measure and its totals there over n*q, as int64 arrays.
+
+    Takes ``_edge_jumps``' keys and jumps.  n times the measure is C + D*y
+    between keys and continuous, so at a key's height y the jumps satisfy
+    jump_c + jump_d*y = 0: the slope changes there iff jump_d != 0, at
+    y = -jump_c/jump_d, and where jump_d = 0 also jump_c = 0.  The total at
+    a kink p/q is q*C + p*D.
+
+    Checks on every call: the pieces below 0 and above 1 count every end as
+    exposed (C = n, D = 0), and the slice at y = 0 and at y = 1 is all of
+    [0, 1], so jump_c is 0 at y = 0 and C + D is n just below 1; heights
+    with jump_d = 0 have jump_c = 0; and each reduced kink has
+    0 < p < q < 2n and lies on its own key, floor(p * 4n^2 / q).
+    """
+    # C and D on the piece above each key
+    above_c = np.cumsum(jump_c)
+    above_c += n
+    above_d = np.cumsum(jump_d)
+    if jump_c[0] or above_c[-1] != n or above_d[-1] or above_c[-2] + above_d[-2] != n:
+        raise AssertionError("the slice at y = 0 or 1 is not all of [0, 1]")
+    if jump_c[1:-1][jump_d[1:-1] == 0].any():
+        raise AssertionError("the slice measure jumps where its slope does not change")
+    at = np.flatnonzero(jump_d[1:-1]) + 1
+    above_c, above_d = above_c[at], above_d[at]
+    jump_c, jump_d = jump_c[at], jump_d[at]
+    sign = np.sign(jump_d)
+    g = np.gcd(jump_c, jump_d)
+    nums = -jump_c * sign // g
+    dens = jump_d * sign // g
+    if not np.all((0 < nums) & (nums < dens) & (dens < 2 * n)):
+        raise AssertionError("a kink lies outside (0, 1) or has a denominator of 2n or more")
+    if not np.array_equal(nums * (4 * n * n) // dens, keys[at]):
+        raise AssertionError("a kink lies off its edge key")
+    totals = dens * above_c
+    totals += nums * above_d
+    return nums, dens, totals
 
 
 def _sweep(spec: TrapezoidSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Interior breakpoints p/q and slice totals t over n*q, as int64 arrays.
+    """Kinks p/q of the slice measure and slice totals t over n*q, as int64 arrays.
 
-    Between consecutive breakpoints (and the ends y = 0, 1) the set of
-    covered interval ends is constant, so the measure is linear there.
+    The measure is linear between consecutive kinks (and the ends y = 0, 1).
     """
     n = spec.n
     d = np.array(_displacements(spec), dtype=np.int64)
-    nums, dens = _interior_breakpoints(n, d)
-    return nums, dens, _slice_totals(n, d, nums, dens)
+    return _kinks(n, *_edge_jumps(n, d))
 
 
 def slice_profile(spec: TrapezoidSpec) -> PiecewiseLinearProfile:
     """Slice measure as an exact piecewise-linear function of height.
 
-    Breakpoints are y = 0, y = 1, and every interior candidate crossing
-    found by the sweep; the value at height p/q is t/(n q).
+    Breakpoints are y = 0, y = 1, and every kink inside, where the slope
+    changes; the value at height p/q is t/(n q).
     """
     nums, dens, totals = _sweep(spec)
     # the ends are (0, 1) and (1, 1).  A plain constructor call: the
@@ -402,9 +373,8 @@ def _integrate_slopes(n: int, nums: np.ndarray, dens: np.ndarray, totals: np.nda
     if rem.any():
         raise AssertionError("slice totals give a non-integer slope")
     change = slopes[1:] - slopes[:-1]
-    hit = np.flatnonzero(change)
     acc: dict[int, int] = {}
-    for den, term in zip(dens[hit].tolist(), (change[hit] * nums[hit] ** 2).tolist()):
+    for den, term in zip(dens.tolist(), (change * nums**2).tolist()):
         acc[den] = acc.get(den, 0) + term
     scale = lcm(*acc)
     total = sum(num * (scale // den) ** 2 for den, num in acc.items())

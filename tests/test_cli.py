@@ -1,5 +1,7 @@
 import json
+import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -169,6 +171,24 @@ class TestOutputRouting:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_integers_past_the_str_digit_limit(self, capsys, monkeypatch):
+        # the digit-swap area at m = 9 has integers of over 8,000 digits,
+        # past Python's default limit of 4,300 for int-to-str conversion
+        import trapmeasure.cli as cli_module
+
+        monkeypatch.setattr(cli_module.trap_mod, "area", lambda spec: Fraction(10**5000 + 1, 2 * 10**5000))
+        previous = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        if previous is not None:
+            sys.set_int_max_str_digits(4300)
+        try:
+            assert main(["sigma3", "--max-m", "1", "--format", "csv"]) == 0
+        finally:
+            if previous is not None:
+                sys.set_int_max_str_digits(previous)
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[2] == "1" + "0" * 4999 + "1"
+        assert row[3] == "2" + "0" * 5000
+
     def test_csv_uses_lf_line_endings(self, tmp_path):
         target = tmp_path / "scan.csv"
         main(["alpha-scan", "--max-n", "3", "--workers", "1", "--out", str(target)])
@@ -210,7 +230,7 @@ class TestExitCodes:
             raise RuntimeError("the sweep started")
 
         # a missing guard turns into exit 2 here, not hours of sweeping
-        monkeypatch.setattr(cli_module.trap_mod, "_interior_breakpoints", no_sweep)
+        monkeypatch.setattr(cli_module.trap_mod, "_edge_jumps", no_sweep)
         n = cli_module.trap_mod.SLOPE_MAX_N + 1
         started = time.perf_counter()
         assert main(["area", "--n", str(n), "--perm", "reversal"]) == 1

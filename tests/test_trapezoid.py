@@ -126,16 +126,11 @@ class TestSliceProfile:
         assert prof.breakpoints == ((0, 1), (F(1, 2), F(1, 2)), (1, 1))
 
     def test_triple_coincident_crossing(self):
-        # all three lines of the reversal meet at y=1/2; offset events add
-        # breakpoints at 1/4 and 3/4, and recomputation handles the pileup
+        # all three lines of the reversal meet at y=1/2, the only kink: the
+        # offset events at 1/4 and 3/4 leave the slope as it is
         prof = slice_profile(spec_of((3, 2, 1)))
-        assert prof.breakpoints == (
-            (0, 1),
-            (F(1, 4), F(2, 3)),
-            (F(1, 2), F(1, 3)),
-            (F(3, 4), F(2, 3)),
-            (1, 1),
-        )
+        assert prof.breakpoints == ((0, 1), (F(1, 2), F(1, 3)), (1, 1))
+        assert prof.value_at(F(1, 4)) == prof.value_at(F(3, 4)) == F(2, 3)
 
     @given(
         st.permutations(list(range(1, 8))),
@@ -215,8 +210,8 @@ def area_reference(image):
 
 def float_sorted_breakpoints(n, disp):
     """Reduced integer (p, q) candidates sorted by float value in plain
-    Python: the ordering argument the numpy sweep relies on (distinct p/q
-    with q < 2n differ by more than 1/(4n^2)), with no numpy."""
+    Python: the ordering argument the sweep's height keys rely on (distinct
+    p/q with q < 2n differ by more than 1/(4n^2)), with no numpy."""
     cands = set()
     for i in range(n):
         for j in range(i + 1, n):
@@ -236,19 +231,8 @@ def displacements(spec):
     return np.array(trapezoid._displacements(spec), dtype=np.int64)
 
 
-def numpy_breakpoints(n, disp):
-    """``_interior_breakpoints`` of a displacement list, as int lists."""
-    nums, dens = trapezoid._interior_breakpoints(n, np.array(disp, dtype=np.int64))
-    assert nums.dtype == dens.dtype == np.int64
-    return nums.tolist(), dens.tolist()
-
-
 class TestInteriorBreakpoints:
-    @pytest.mark.parametrize(
-        "breakpoints",
-        [numpy_breakpoints, float_sorted_breakpoints],
-        ids=["numpy", "python"],
-    )
+    @pytest.mark.parametrize("breakpoints", [float_sorted_breakpoints], ids=["python"])
     def test_paths_agree_with_fraction_sort(self, breakpoints):
         rng = random.Random(11)
         for n in [1, 2, 3, 7, 16, 33, 48, 49, 60] + [rng.randint(1, 60) for _ in range(12)]:
@@ -260,19 +244,6 @@ class TestInteriorBreakpoints:
             ordered = interior_heights_reference(image)
             assert nums == [y.numerator for y in ordered]
             assert dens == [y.denominator for y in ordered]
-
-    def test_two_slabs_agree_with_fraction_sort(self):
-        # 131_072 // 400 = 327 pair rows a slab, so the 399 rows of n = 400
-        # span two slabs, and heights found in both collapse in the final pass
-        rng = random.Random(400)
-        image = list(range(1, 401))
-        rng.shuffle(image)
-        spec = spec_of(image)
-        nums, dens = numpy_breakpoints(400, trapezoid._displacements(spec))
-        ordered = interior_heights_reference(image)
-        assert nums == [y.numerator for y in ordered]
-        assert dens == [y.denominator for y in ordered]
-        assert area(spec) == integrate_plp(slice_profile(spec))
 
 
 def slice_totals_reference(spec, nums, dens):
@@ -301,24 +272,42 @@ def block_shift(n, cut):
     return tuple(range(n - cut + 1, n + 1)) + tuple(range(1, n - cut + 1))
 
 
-def kernel_totals(spec):
-    """Candidate heights and the event sweep's totals, as int lists."""
-    disp = displacements(spec)
-    nums, dens = trapezoid._interior_breakpoints(spec.n, disp)
-    totals = trapezoid._slice_totals(spec.n, disp, nums, dens)
-    assert totals.dtype == np.int64
+def sweep_lists(spec):
+    """``_sweep``'s kinks and totals, as int lists."""
+    nums, dens, totals = trapezoid._sweep(spec)
+    assert nums.dtype == dens.dtype == totals.dtype == np.int64
     return nums.tolist(), dens.tolist(), totals.tolist()
 
 
-def assert_totals_match_reference(spec, sample=None):
-    """The sweep's totals against the sorted-endpoint integer reference, at
-    every height, or at ``sample`` seeded heights when there are more."""
-    nums, dens, totals = kernel_totals(spec)
-    picked = range(len(nums))
-    if sample is not None and len(nums) > sample:
-        picked = sorted(random.Random(spec.n).sample(picked, sample))
-    want = slice_totals_integer_reference(spec, [nums[k] for k in picked], [dens[k] for k in picked])
-    assert [totals[k] for k in picked] == want
+def assert_sweep_matches_reference(spec, sample=None):
+    """``_sweep`` against the candidate heights and the integer reference.
+
+    The slope changes at every kink, and every kink is a candidate height.
+    At every candidate, or at ``sample`` seeded ones when there are more,
+    the value interpolated from the kinks and totals is the reference's, so
+    a missed kink fails.  With every candidate checked, the kinks are then
+    exactly the candidates where the reference's slope changes.  The
+    candidates come from ``float_sorted_breakpoints``, the same heights as
+    ``interior_heights_reference`` (``TestInteriorBreakpoints``) in a
+    fraction of the time.
+    """
+    n = spec.n
+    nums, dens, totals = sweep_lists(spec)
+    knots = [F(0), *(F(p, q) for p, q in zip(nums, dens)), F(1)]
+    levels = [F(1), *(F(t, n * q) for t, q in zip(totals, dens)), F(1)]
+    slopes = [(b - a) / (y - x) for x, y, a, b in zip(knots, knots[1:], levels, levels[1:])]
+    assert all(a != b for a, b in zip(slopes, slopes[1:]))
+    ys = [F(p, q) for p, q in zip(*float_sorted_breakpoints(n, trapezoid._displacements(spec)))]
+    assert set(knots[1:-1]) <= set(ys)
+    if sample is not None and len(ys) > sample:
+        ys = sorted(random.Random(n).sample(ys, sample))
+    want = slice_totals_integer_reference(spec, [y.numerator for y in ys], [y.denominator for y in ys])
+    # knots[i] is the first knot above y
+    i = 1
+    for y, t in zip(ys, want):
+        while knots[i] <= y:
+            i += 1
+        assert levels[i - 1] + slopes[i - 1] * (y - knots[i - 1]) == F(t, n * y.denominator)
 
 
 class TestSliceTotals:
@@ -343,28 +332,23 @@ class TestSliceTotals:
         for n, cut in ((2, 1), (7, 3), (40, 1), (60, 25)):
             yield spec_of(block_shift(n, cut))
 
-    def test_breakpoint_paths_agree(self):
-        # the numpy sweep against the pure-Fraction candidate list
-        for spec in self.specs():
-            nums, dens = numpy_breakpoints(spec.n, trapezoid._displacements(spec))
-            ordered = interior_heights_reference(spec.sigma.image)
-            assert (nums, dens) == ([y.numerator for y in ordered], [y.denominator for y in ordered])
-
     def test_numpy_path_matches_python_path(self):
-        # the event sweep's totals against plain Python integers, and the
-        # integer reference against the merged slice_at union at small n
+        # the sweep's kinks and totals against the Fraction candidate list
+        # and plain Python integers, and the integer reference against the
+        # merged slice_at union at small n
         for spec in self.specs():
-            nums, dens, totals = kernel_totals(spec)
-            expected = slice_totals_integer_reference(spec, nums, dens)
-            assert totals == expected
+            assert_sweep_matches_reference(spec)
             if spec.n <= 12:
-                assert expected == slice_totals_reference(spec, nums, dens)
+                ys = interior_heights_reference(spec.sigma.image)
+                nums, dens = [y.numerator for y in ys], [y.denominator for y in ys]
+                assert float_sorted_breakpoints(spec.n, trapezoid._displacements(spec)) == (nums, dens)
+                assert slice_totals_integer_reference(spec, nums, dens) == slice_totals_reference(spec, nums, dens)
 
     def test_every_permutation_up_to_six(self):
         seen = 0
         for n in range(1, 7):
             for spec in all_specs(n):
-                assert_totals_match_reference(spec)
+                assert_sweep_matches_reference(spec)
                 seen += 1
         assert seen == 873
 
@@ -373,7 +357,7 @@ class TestSliceTotals:
         for n in [64, 115, 166, 218, 269, 320] + [rng.randint(49, 320) for _ in range(4)]:
             image = list(range(1, n + 1))
             rng.shuffle(image)
-            assert_totals_match_reference(spec_of(image), sample=400)
+            assert_sweep_matches_reference(spec_of(image), sample=400)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 9, 30, 101])
     def test_touching_and_extreme_shapes(self, n):
@@ -382,37 +366,96 @@ class TestSliceTotals:
         images = [identity(n).image, reversal(n).image]
         images += [block_shift(n, cut) for cut in {1, n // 3, n // 2, n - 1} if 0 < cut < n]
         for image in images:
-            assert_totals_match_reference(spec_of(image))
+            assert_sweep_matches_reference(spec_of(image))
 
-    def test_dropped_candidate_refused(self, monkeypatch):
-        # a candidate where the slope changes is where some end's covered run
-        # starts or stops, so the sweep cannot skip it
-        spec = TrapezoidSpec(9, digit_swap_permutation(2))
-        nums, dens, totals = trapezoid._sweep(spec)
-        p, q, t = (0, *nums.tolist(), 1), (1, *dens.tolist(), 1), (9, *totals.tolist(), 9)
-        slopes = [F(t[k + 1], q[k + 1]) - F(t[k], q[k]) for k in range(len(p) - 1)]
-        slopes = [rise / (F(p[k + 1], q[k + 1]) - F(p[k], q[k])) for k, rise in enumerate(slopes)]
-        kinks = [k for k in range(len(nums)) if slopes[k] != slopes[k + 1]]
-        assert kinks
-        points = trapezoid._interior_breakpoints
+    def test_several_edge_batches(self, monkeypatch):
+        # 16_384 // 400 = 40 strips a slab, and run edges merged into the
+        # summed jumps in many small batches give the same sweep as one batch
+        rng = random.Random(400)
+        image = list(range(1, 401))
+        rng.shuffle(image)
+        spec = spec_of(image)
+        whole = sweep_lists(spec)
+        merges = []
+        argsort = np.argsort
+
+        def counted(*args, **kwargs):
+            merges.append(1)
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counted)
+        assert sweep_lists(spec) == whole
+        assert len(merges) == 1
+        monkeypatch.setattr(trapezoid, "_BATCH_EDGES", 1)
+        assert sweep_lists(spec) == whole
+        assert len(merges) > 4
+        monkeypatch.undo()
+        assert_sweep_matches_reference(spec, sample=400)
+        assert area(spec) == integrate_plp(slice_profile(spec))
+
+    def test_shifted_edge_key_refused(self):
+        # a kink's own height is keyed by floor(p * 4n^2 / q), and distinct
+        # heights with q < 2n have distinct keys
+        n = 9
+        keys, jump_c, jump_d = trapezoid._edge_jumps(n, displacements(TrapezoidSpec(n, digit_swap_permutation(2))))
+        kinks = np.flatnonzero(jump_d[1:-1]) + 1
+        assert kinks.size == keys.size - 2
         for k in kinks:
+            for step in (-1, 1):
+                shifted = keys.copy()
+                shifted[k] += step
+                with pytest.raises(AssertionError, match="off its edge key"):
+                    trapezoid._kinks(n, shifted, jump_c, jump_d)
 
-            def forged(n, disp, k=k):
-                return tuple(np.delete(column, k) for column in points(n, disp))
+    def test_kink_with_a_large_denominator_refused(self):
+        # 201/400 has the height key floor(y * 4n^2) = 162 of the kink at 1/2
+        # for n = 9, but no kink has a denominator of 2n or more
+        n = 9
+        keys, jump_c, jump_d = trapezoid._edge_jumps(n, displacements(TrapezoidSpec(n, digit_swap_permutation(2))))
+        k = keys.tolist().index(162)
+        assert (jump_c[k], jump_d[k]) == (-16, 32) and 201 * 324 // 400 == 162
+        forged_c, forged_d = jump_c.copy(), jump_d.copy()
+        forged_c[k : k + 2] += (-185, 185)
+        forged_d[k : k + 2] += (368, -368)
+        with pytest.raises(AssertionError, match="denominator of 2n or more"):
+            trapezoid._kinks(n, keys, forged_c, forged_d)
 
-            monkeypatch.setattr(trapezoid, "_interior_breakpoints", forged)
-            with pytest.raises(AssertionError, match="off the candidate heights"):
-                area.__wrapped__(spec)
+    def test_corrupted_end_share_refused(self):
+        n = 9
+        d = displacements(TrapezoidSpec(n, digit_swap_permutation(2)))
+        keys, jump_c, jump_d = trapezoid._edge_jumps(n, d)
+        # one end's share, (k + 1, d_k) for R_k or (-k, -d_k) for L_k, moved
+        # from one key to the next: the sums still close, but no end lies at
+        # x = 0 inside (0, 1), so the first key's height moves off its key,
+        # or its kink vanishes and the next one's moves
+        strip = np.arange(n)
+        shares = zip(np.concatenate([strip + 1, -strip]).tolist(), np.concatenate([d, -d]).tolist())
+        for share_c, share_d in [share for share in shares if any(share)]:
+            for k in range(1, keys.size - 2):
+                forged_c, forged_d = jump_c.copy(), jump_d.copy()
+                forged_c[k : k + 2] += (share_c, -share_c)
+                forged_d[k : k + 2] += (share_d, -share_d)
+                with pytest.raises(AssertionError, match="kink|slope"):
+                    trapezoid._kinks(n, keys, forged_c, forged_d)
+        # a share lost at one height leaves the sums unclosed above y = 1;
+        # a jump at y = 0 or across y = 1 breaks the slice there
+        for column, k in ((jump_c, 1), (jump_d, 1), (jump_c, 0), (jump_c, -1), (jump_d, -1)):
+            forged = column.copy()
+            forged[k] += 1
+            forged_c, forged_d = (forged, jump_d) if column is jump_c else (jump_c, forged)
+            with pytest.raises(AssertionError, match="not all of"):
+                trapezoid._kinks(n, keys, forged_c, forged_d)
 
-    def test_height_off_its_key_refused(self):
-        # 37/73 has the height key floor(y * 4n^2) = 18 of the crossing at 1/2
-        # for n = 3, so every run lines up, but the pieces either side of the
-        # kink give different totals there
-        disp = displacements(spec_of((1, 3, 2)))
-        assert 37 * 36 // 73 == 1 * 36 // 2
-        with pytest.raises(AssertionError, match="differ across a candidate height"):
-            trapezoid._slice_totals(3, disp, np.array([37]), np.array([73]))
-        assert trapezoid._slice_totals(3, disp, np.array([1]), np.array([2])).tolist() == [4]
+    def test_jump_without_kink_refused(self):
+        # (2, 3, 4, 1) has a run edge at y = 1/2 where the slope stays the same
+        n = 4
+        keys, jump_c, jump_d = trapezoid._edge_jumps(n, displacements(spec_of((2, 3, 4, 1))))
+        assert keys.tolist() == [0, 16, 32, 48, 64] and jump_c[2] == jump_d[2] == 0
+        assert trapezoid._kinks(n, keys, jump_c, jump_d)[0].tolist() == [1, 3]
+        forged = jump_c.copy()
+        forged[1:3] += (-1, 1)
+        with pytest.raises(AssertionError, match="slope does not change"):
+            trapezoid._kinks(n, keys, forged, jump_d)
 
     def test_int64_bound_covers_every_area_size(self):
         # the largest int64 of the sweep, from the packed key widths: far
@@ -420,10 +463,23 @@ class TestSliceTotals:
         n = trapezoid.SLOPE_MAX_N
         shift, tag = trapezoid._packing(n)
         assert 4 * n * n < 2**shift and 4 * n <= 2**tag
-        assert max(2 * n << shift, 4 * n * n + 1 << tag, 8 * n**3) < 2**50
+        # run keys, edge keys, kink keys p * 4n^2 (p < 2n), the summed jumps
+        # (at most n^2) and the totals q*C + p*D (|C| <= n^2, |D| <= 2n^2)
+        largest = [2 * n << shift, 4 * n * n + 1 << tag, 2 * n * 4 * n * n, n * n, 2 * n * (n * n + 2 * n * n)]
+        assert max(largest) < 2**50
+        # the bounds on the jumps and on C and D, on real sweeps
+        specs = [TrapezoidSpec(3**m, digit_swap_permutation(m)) for m in range(6)]
+        specs += [TrapezoidSpec(n, reversal(n)) for n in (2, 9, 100)]
+        specs += [spec_of(block_shift(60, 25)), TrapezoidSpec(1000, composite_permutation(1000))]
+        for spec in specs:
+            n = spec.n
+            keys, jump_c, jump_d = trapezoid._edge_jumps(n, displacements(spec))
+            assert np.abs(jump_c).max() <= n * n and np.abs(jump_d).max() <= n * n
+            assert np.abs(n + np.cumsum(jump_c)).max() <= n * n
+            assert np.abs(np.cumsum(jump_d)).max() <= 2 * n * n
         # refused before any array is read: these inputs are not even arrays
         with pytest.raises(AssertionError, match="overflow int64"):
-            trapezoid._slice_totals(2**20, None, None, None)
+            trapezoid._edge_jumps(2**20, None)
 
 
 def random_involution(rng, n):
@@ -446,20 +502,20 @@ class TestMirroredTotals:
             for image in itertools_permutations(range(1, n + 1)):
                 spec = spec_of(image)
                 if spec.sigma.inverse() == spec.sigma:
-                    assert_totals_match_reference(spec)
+                    assert_sweep_matches_reference(spec)
                     seen += 1
         assert seen == 1115
 
     def test_random_involutions_up_to_300(self):
         rng = random.Random(31)
         for n in [9, 10, 49, 300] + [rng.randint(9, 300) for _ in range(16)]:
-            assert_totals_match_reference(TrapezoidSpec(n, random_involution(rng, n)), sample=400)
+            assert_sweep_matches_reference(TrapezoidSpec(n, random_involution(rng, n)), sample=400)
 
     def test_digit_swap_and_composite_families(self):
         specs = [TrapezoidSpec(3**m, digit_swap_permutation(m)) for m in range(6)]
         specs += [TrapezoidSpec(n, composite_permutation(n)) for n in range(1, 101)]
         for spec in specs:
-            assert_totals_match_reference(spec)
+            assert_sweep_matches_reference(spec)
 
 
 class TestSlopeIntegration:
@@ -512,7 +568,7 @@ class TestSlopeIntegration:
             raise RuntimeError("the sweep started")
 
         # the largest n reaches the sweep; one more is refused before it
-        monkeypatch.setattr(trapezoid, "_interior_breakpoints", no_sweep)
+        monkeypatch.setattr(trapezoid, "_edge_jumps", no_sweep)
         n = trapezoid.SLOPE_MAX_N
         assert 16 * n**4 < 2**63 <= 16 * (n + 1) ** 4
         with pytest.raises(RuntimeError, match="the sweep started"):
