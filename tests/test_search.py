@@ -317,11 +317,14 @@ class TestBatchedHeuristic:
             (33, 5, 300),
             (CAP, 5, 300),
             (CAP + 1, 5, 300),
+            (40, 5, 300),
+            (41, 5, 300),
         ],
     )
     def test_large_n_matches_sequential_descent(self, n, seed, budget):
         # budget 13 at n = 24 cuts the first scan after 10 of its 23 swaps;
-        # CAP and CAP + 1 sit either side of the grid cap
+        # CAP and CAP + 1 sit either side of the grid cap; 40 and 41 sit
+        # either side of its earlier place
         assert _record(n, budget, seed) == _sequential_heuristic(n, budget, seed)
 
     def test_grid_path_makes_one_sweep(self, monkeypatch):
