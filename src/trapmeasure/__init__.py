@@ -20,7 +20,6 @@ from .permutations import (
     identity,
     iter_permutations,
     permutation_at_rank,
-    rank_of,
     reversal,
 )
 from .trapezoid import (

@@ -233,6 +233,12 @@ def _cmd_alpha_scan(args) -> _Output:
 
 
 def _cmd_sigma3(args) -> _Output:
+    # refused before any area; capping the exponent keeps the check cheap
+    if 3 ** min(args.max_m, 63) > trap_mod.SLOPE_MAX_N:
+        raise CliError(
+            f"--max-m {args.max_m} reaches n = 3^{args.max_m}, "
+            f"above {trap_mod.SLOPE_MAX_N}, the largest n exact area accepts"
+        )
     rows = []
     entries = []
     pairs = []
@@ -516,16 +522,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     # exact values print in full: the digit-swap area at m = 9 has integers
-    # of over 8,000 digits, past Python's default limit of 4,300
-    if hasattr(sys, "set_int_max_str_digits"):
+    # of over 8,000 digits, past Python's default limit of 4,300; the
+    # caller's limit is restored on the way out
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
         sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
         return _write(args, args.func(args))
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -533,6 +537,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception:
         traceback.print_exc()
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def app() -> None:

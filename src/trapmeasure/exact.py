@@ -55,9 +55,6 @@ class Interval:
     def length(self) -> Rational:
         return self.hi - self.lo
 
-    def contains(self, x: RationalLike) -> bool:
-        return self.lo <= x <= self.hi
-
     def __repr__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
 
@@ -156,9 +153,6 @@ class IntervalUnion:
 
     def __hash__(self) -> int:
         return hash(self._reduced())
-
-    def contains(self, x: RationalLike) -> bool:
-        return any(p.contains(x) for p in self.parts)
 
     def __repr__(self) -> str:
         return "{" + ", ".join(repr(p) for p in self.parts) + "}"

@@ -153,24 +153,8 @@ def composite_permutation(n: int) -> Permutation:
     return Permutation(tuple(image))
 
 
-def rank_of(perm: Permutation) -> int:
-    """Zero-based lexicographic rank via the Lehmer code."""
-    image = perm.image
-    n = len(image)
-    seen = [False] * (n + 1)
-    rank = 0
-    fact = math.factorial(n - 1) if n else 1
-    for pos, v in enumerate(image):
-        smaller = sum(1 for u in range(1, v) if not seen[u])
-        rank += smaller * fact
-        seen[v] = True
-        if pos < n - 1:
-            fact //= n - 1 - pos
-    return rank
-
-
 def permutation_at_rank(n: int, rank: int) -> Permutation:
-    """Inverse of rank_of: the permutation at a zero-based lex rank."""
+    """The permutation at a zero-based lexicographic rank, from its Lehmer code."""
     _require_positive(n)
     if not 0 <= rank < math.factorial(n):
         raise ValueError(f"rank {rank} outside 0..{n}!-1")

@@ -373,6 +373,12 @@ def alpha_scan(
     """Search n = 1..max_n, exact up to the limit, heuristic beyond."""
     if max_n < 2:
         raise ValueError(f"max_n must be at least 2, got {max_n}")
+    # refused before any search: the scan has no force
+    top = min(max_n, exhaustive_limit)
+    if top > EXHAUSTIVE_GUARD:
+        raise ValueError(
+            f"n={top} means {top}! exact sweeps; the scan searches exhaustively up to n={EXHAUSTIVE_GUARD}"
+        )
     records = []
     for n in range(1, max_n + 1):
         if n <= exhaustive_limit:

@@ -21,12 +21,13 @@ q*C + p*D: the sweep returns the kinks and totals as int64 arrays, with
 no Fraction or Python int built per kink, no list of candidate heights
 and no per-height sort.
 
-n times the slice measure has integer slopes, so ``area`` integrates the
-sweep's arrays from the slope changes, with no profile in between:
-int64 work per kink, Python ints per distinct q, and one
-Fraction, for n up to ``SLOPE_MAX_N`` (27,554).  ``slice_profile``
-wraps the same arrays in a ``PiecewiseLinearProfile`` for callers that
-read the profile itself.
+``area`` integrates by parts from the same jumps: with D_last the slope
+below y = 1, 2n times the area is 2n - D_last minus the sum of dC*p/q
+over the kinks, with no profile in between: one int64 product per kink,
+Python ints per distinct q, and one Fraction over 2n*lcm(q), for n up
+to ``SLOPE_MAX_N`` (27,554).  ``slice_profile`` wraps the kinks and
+totals in a ``PiecewiseLinearProfile`` for callers that read the
+profile itself.
 
 ``FareyGrid`` scores many permutations of one n at once, for exhaustive
 and heuristic search: the same integer slice totals, taken on the one
@@ -40,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import lcm
 
 import numpy as np
 
@@ -140,9 +141,9 @@ def _packing(n: int) -> tuple[int, int]:
     run keys stay below the sentinel 2n << shift and edge keys below
     (4n^2 + 1) << tag.  The jumps of C and D summed at one height are at
     most n^2 in size (each of the 2n ends steps at most once there, by
-    (k + 1, d_k) or (-k, -d_k)), and the kink checks' p * 4n^2 and the
+    (k + 1, d_k) or (-k, -d_k)); the kink checks' p * 4n^2 and the
     totals q*C + p*D are at most 8n^3 (p < q < 2n, |C| <= n^2,
-    |D| <= 2n^2).
+    |D| <= 2n^2), and ``area``'s products dC*p are below 2n^3.
     """
     width = 4 * n * n
     shift, tag = width.bit_length(), (4 * n - 1).bit_length()
@@ -278,14 +279,15 @@ def _edge_jumps(n: int, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 def _kinks(
     n: int, keys: np.ndarray, jump_c: np.ndarray, jump_d: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kinks p/q of the slice measure and its totals there over n*q, as int64 arrays.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """Kinks p/q of the slice measure, its totals there over n*q, and its jumps there.
 
     Takes ``_edge_jumps``' keys and jumps.  n times the measure is C + D*y
     between keys and continuous, so at a key's height y the jumps satisfy
     jump_c + jump_d*y = 0: the slope changes there iff jump_d != 0, at
     y = -jump_c/jump_d, and where jump_d = 0 also jump_c = 0.  The total at
-    a kink p/q is q*C + p*D.
+    a kink p/q is q*C + p*D.  Returns p, q, the totals and jump_c at each
+    kink as int64 arrays, and D on the last piece, below y = 1.
 
     Checks on every call: the pieces below 0 and above 1 count every end as
     exposed (C = n, D = 0), and the slice at y = 0 and at y = 1 is all of
@@ -301,6 +303,7 @@ def _kinks(
         raise AssertionError("the slice at y = 0 or 1 is not all of [0, 1]")
     if jump_c[1:-1][jump_d[1:-1] == 0].any():
         raise AssertionError("the slice measure jumps where its slope does not change")
+    last = int(above_d[-2])
     at = np.flatnonzero(jump_d[1:-1]) + 1
     above_c, above_d = above_c[at], above_d[at]
     jump_c, jump_d = jump_c[at], jump_d[at]
@@ -314,11 +317,11 @@ def _kinks(
         raise AssertionError("a kink lies off its edge key")
     totals = dens * above_c
     totals += nums * above_d
-    return nums, dens, totals
+    return nums, dens, totals, jump_c, last
 
 
-def _sweep(spec: TrapezoidSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kinks p/q of the slice measure and slice totals t over n*q, as int64 arrays.
+def _sweep(spec: TrapezoidSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """``_kinks`` of the trapezoid: kinks p/q, totals over n*q, jumps dC, last slope.
 
     The measure is linear between consecutive kinks (and the ends y = 0, 1).
     """
@@ -333,7 +336,7 @@ def slice_profile(spec: TrapezoidSpec) -> PiecewiseLinearProfile:
     Breakpoints are y = 0, y = 1, and every kink inside, where the slope
     changes; the value at height p/q is t/(n q).
     """
-    nums, dens, totals = _sweep(spec)
+    nums, dens, totals, _, _ = _sweep(spec)
     # the ends are (0, 1) and (1, 1).  A plain constructor call: the
     # benchmark's traced runs replace the class name with a wrapper
     # function, so a classmethod would break.
@@ -345,54 +348,33 @@ def slice_profile(spec: TrapezoidSpec) -> PiecewiseLinearProfile:
     )
 
 
-# Largest n whose slope integration fits int64: with t <= n*q and q < 2n,
-# the slope numerators stay below 8n^3, the slopes below 2n^2 (n components,
-# each end moving by at most n - 1) and the summed slope changes times p^2
-# below 16n^4, which is below 2^63 iff n^4 < 2^59.
-SLOPE_MAX_N = isqrt(isqrt(2**59 - 1))
-
-
-def _integrate_slopes(n: int, nums: np.ndarray, dens: np.ndarray, totals: np.ndarray) -> Rational:
-    """Exact integral of the slice measure from the sweep's arrays.
-
-    Between breakpoints, n times the slice measure is A_k + B_k*y with
-    integers A_k, B_k: each connected component of the slice spans
-    (j0 + d*y)/n end lines.  At y_k = p_k/q_k it is t_k/q_k (the sweep's
-    totals inside, n/1 at the ends y = 0/1 and 1/1, added here), so
-    B_k = (t_(k+1) q_k - t_k q_(k+1)) / (p_(k+1) q_k - p_k q_(k+1)),
-    computed in int64 and checked to divide exactly.  Integrating by parts
-    against the value 1 at y = 1 gives
-    area = 1 - B_last/(2n) + 1/(2n) * sum_k (B_k - B_(k-1)) p_k^2/q_k^2.
-    The slope changes times p^2 are summed per distinct q (q < 2n) as
-    Python ints, and one Fraction over 2n*lcm(q)^2 is built.
-    """
-    p = np.concatenate(([0], nums, [1]))
-    q = np.concatenate(([1], dens, [1]))
-    t = np.concatenate(([n], totals, [n]))
-    slopes, rem = np.divmod(t[1:] * q[:-1] - t[:-1] * q[1:], p[1:] * q[:-1] - p[:-1] * q[1:])
-    if rem.any():
-        raise AssertionError("slice totals give a non-integer slope")
-    change = slopes[1:] - slopes[:-1]
-    acc: dict[int, int] = {}
-    for den, term in zip(dens.tolist(), (change * nums**2).tolist()):
-        acc[den] = acc.get(den, 0) + term
-    scale = lcm(*acc)
-    total = sum(num * (scale // den) ** 2 for den, num in acc.items())
-    scale *= scale
-    return Fraction((2 * n - int(slopes[-1])) * scale + total, 2 * n * scale)
+# Largest n that ``area`` accepts; larger n is refused before any sweep.
+SLOPE_MAX_N = 27_554
 
 
 @lru_cache(maxsize=256)
 def area(spec: TrapezoidSpec) -> Rational:
     """Exact two-dimensional measure of the trapezoid, in [1/n, 1].
 
-    The sweep's arrays integrated from their integer slope changes, with
-    no profile built; equal to ``integrate_plp(slice_profile(spec))``.
-    n above ``SLOPE_MAX_N`` is refused before any sweep.
+    n times the slice measure, f = C + D*y between kinks, is continuous
+    and n at y = 1, so integrating by parts, n*area = n minus the integral
+    of y*D.  D steps by dD at each kink p/q, where dC = -dD*p/q, so
+    2n*area = 2n - D_last - sum over kinks of dC*p/q, with D_last the slope
+    below y = 1.  Each dC*p is an int64 below 2n^3 (|dC| <= n^2, p < 2n);
+    they are summed per distinct q as Python ints into one Fraction over
+    2n*lcm(q), with no profile built.  Equal to
+    ``integrate_plp(slice_profile(spec))``.
     """
-    if spec.n > SLOPE_MAX_N:
-        raise ValueError(f"n={spec.n} is above {SLOPE_MAX_N}: exact area integration would overflow int64")
-    return _integrate_slopes(spec.n, *_sweep(spec))
+    n = spec.n
+    if n > SLOPE_MAX_N:
+        raise ValueError(f"n={n} is above {SLOPE_MAX_N}, the largest n exact area accepts")
+    nums, dens, _, jumps, last = _sweep(spec)
+    acc: dict[int, int] = {}
+    for den, term in zip(dens.tolist(), (jumps * nums).tolist()):
+        acc[den] = acc.get(den, 0) + term
+    scale = lcm(*acc)
+    total = sum(num * (scale // den) for den, num in acc.items())
+    return Fraction((2 * n - last) * scale - total, 2 * n * scale)
 
 
 def _sorting_network(n: int) -> tuple[tuple[int, int], ...]:

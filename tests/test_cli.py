@@ -189,6 +189,19 @@ class TestOutputRouting:
         assert row[2] == "1" + "0" * 4999 + "1"
         assert row[3] == "2" + "0" * 5000
 
+    def test_str_digit_limit_restored(self, capsys):
+        if not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("no int-to-str digit limit before Python 3.11")
+        previous = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            assert main(["sigma3", "--max-m", "1"]) == 0
+            assert sys.get_int_max_str_digits() == 4300
+            assert main(["frobnicate"]) == 1
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(previous)
+
     def test_csv_uses_lf_line_endings(self, tmp_path):
         target = tmp_path / "scan.csv"
         main(["alpha-scan", "--max-n", "3", "--workers", "1", "--out", str(target)])
@@ -235,7 +248,37 @@ class TestExitCodes:
         started = time.perf_counter()
         assert main(["area", "--n", str(n), "--perm", "reversal"]) == 1
         assert time.perf_counter() - started < 5
-        assert "overflow int64" in capsys.readouterr().err
+        assert "the largest n exact area accepts" in capsys.readouterr().err
+
+    def test_sigma3_past_the_area_limit_exits_at_once(self, capsys, monkeypatch):
+        import trapmeasure.cli as cli_module
+
+        def no_area(spec):
+            raise RuntimeError("an area started")
+
+        # 3^10 is above the limit: refused before the areas of m <= 9
+        monkeypatch.setattr(cli_module.trap_mod, "area", no_area)
+        assert 3**9 <= cli_module.trap_mod.SLOPE_MAX_N < 3**10
+        started = time.perf_counter()
+        assert main(["sigma3", "--max-m", "10"]) == 1
+        assert time.perf_counter() - started < 5
+        assert "the largest n exact area accepts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("limits", [["11", "11"], ["12", "11"], ["11", "40"]])
+    def test_alpha_scan_past_the_guard_exits_at_once(self, capsys, monkeypatch, limits):
+        import trapmeasure.search as search_module
+
+        def no_search(*args, **kwargs):
+            raise RuntimeError("a search started")
+
+        # refused before the exhaustive searches below the guard
+        monkeypatch.setattr(search_module, "alpha_exhaustive", no_search)
+        monkeypatch.setattr(search_module, "alpha_heuristic", no_search)
+        max_n, limit = limits
+        started = time.perf_counter()
+        assert main(["alpha-scan", "--max-n", max_n, "--exhaustive-limit", limit, "--workers", "1"]) == 1
+        assert time.perf_counter() - started < 5
+        assert "exact sweeps" in capsys.readouterr().err
 
     def test_budget_below_seed_count(self, capsys):
         assert main(["alpha", "--n", "2", "--heuristic", "--budget", "1", "--seed", "1"]) == 1

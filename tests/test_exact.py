@@ -17,7 +17,7 @@ from trapmeasure.exact import (
     normalize,
 )
 from trapmeasure.permutations import Permutation, composite_permutation, digit_swap_permutation
-from trapmeasure.trapezoid import TrapezoidSpec, _integrate_slopes, _sweep, slice_profile
+from trapmeasure.trapezoid import TrapezoidSpec, area, slice_profile
 
 F = Fraction
 
@@ -441,11 +441,11 @@ class TestIntegrationByParts:
 
     def test_slope_integration_matches_trapezoid_rule(self):
         # every spec behind profiles(); the hand-built first profile has
-        # no strip count n and no integer slopes
+        # no strip count n and no sweep behind it
         for spec in self.specs():
-            assert _integrate_slopes(spec.n, *_sweep(spec)) == integrate_plp(slice_profile(spec))
+            assert area.__wrapped__(spec) == integrate_plp(slice_profile(spec))
 
     @given(st.integers(1, 40).flatmap(lambda n: st.permutations(range(1, n + 1))))
     def test_slope_integration_matches_on_random_permutations(self, image):
         spec = TrapezoidSpec(len(image), Permutation(tuple(image)))
-        assert _integrate_slopes(spec.n, *_sweep(spec)) == integrate_plp(slice_profile(spec))
+        assert area.__wrapped__(spec) == integrate_plp(slice_profile(spec))

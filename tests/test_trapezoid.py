@@ -274,7 +274,7 @@ def block_shift(n, cut):
 
 def sweep_lists(spec):
     """``_sweep``'s kinks and totals, as int lists."""
-    nums, dens, totals = trapezoid._sweep(spec)
+    nums, dens, totals, _, _ = trapezoid._sweep(spec)
     assert nums.dtype == dens.dtype == totals.dtype == np.int64
     return nums.tolist(), dens.tolist(), totals.tolist()
 
@@ -464,8 +464,16 @@ class TestSliceTotals:
         shift, tag = trapezoid._packing(n)
         assert 4 * n * n < 2**shift and 4 * n <= 2**tag
         # run keys, edge keys, kink keys p * 4n^2 (p < 2n), the summed jumps
-        # (at most n^2) and the totals q*C + p*D (|C| <= n^2, |D| <= 2n^2)
-        largest = [2 * n << shift, 4 * n * n + 1 << tag, 2 * n * 4 * n * n, n * n, 2 * n * (n * n + 2 * n * n)]
+        # (at most n^2), the totals q*C + p*D (|C| <= n^2, |D| <= 2n^2) and
+        # area's dC*p
+        largest = [
+            2 * n << shift,
+            4 * n * n + 1 << tag,
+            2 * n * 4 * n * n,
+            n * n,
+            2 * n * (n * n + 2 * n * n),
+            2 * n * n * n,
+        ]
         assert max(largest) < 2**50
         # the bounds on the jumps and on C and D, on real sweeps
         specs = [TrapezoidSpec(3**m, digit_swap_permutation(m)) for m in range(6)]
@@ -531,37 +539,13 @@ class TestSlopeIntegration:
             yield TrapezoidSpec(3**m, digit_swap_permutation(m))
 
     def test_int64_bounds_hold(self):
-        # the bounds behind SLOPE_MAX_N, checked in Python ints
+        # the bounds behind area's int64 products dC*p, checked in Python ints
         for spec in self.specs():
-            n, (nums, dens, totals) = spec.n, trapezoid._sweep(spec)
-            p, q, t = (0, *nums.tolist(), 1), (1, *dens.tolist(), 1), (n, *totals.tolist(), n)
-            cross = [t[k + 1] * q[k] - t[k] * q[k + 1] for k in range(len(p) - 1)]
-            assert max(map(abs, cross)) < 8 * n**3
-            slopes = [c // (p[k + 1] * q[k] - p[k] * q[k + 1]) for k, c in enumerate(cross)]
-            assert max(map(abs, slopes)) < 2 * n**2
-            terms = [(b - a) * p[k + 1] ** 2 for k, (a, b) in enumerate(zip(slopes, slopes[1:]))]
-            assert max(map(abs, terms), default=0) < 16 * n**4
-
-    def test_inconsistent_totals_refused(self):
-        # a total changed by one at y_k changes the slope numerators next
-        # to it by q_(k-1) and q_(k+1); where a slope denominator does not
-        # divide that change, the slope stops being an integer
-        spec = TrapezoidSpec(9, digit_swap_permutation(2))
-        nums, dens, totals = trapezoid._sweep(spec)
-        # heights with the ends y = 0/1 and 1/1; interior height k is array entry k - 1
-        p, q = (0, *nums.tolist(), 1), (1, *dens.tolist(), 1)
-        caught = 0
-        for k in range(1, len(p) - 1):
-            before = p[k] * q[k - 1] - p[k - 1] * q[k]
-            after = p[k + 1] * q[k] - p[k] * q[k + 1]
-            if q[k - 1] % before == 0 and q[k + 1] % after == 0:
-                continue
-            corrupt = totals.copy()
-            corrupt[k - 1] += 1
-            with pytest.raises(AssertionError, match="non-integer slope"):
-                trapezoid._integrate_slopes(spec.n, nums, dens, corrupt)
-            caught += 1
-        assert caught > 0
+            n = spec.n
+            nums, dens, _, jumps, last = trapezoid._sweep(spec)
+            assert all(abs(c * p) < 2 * n**3 for c, p in zip(jumps.tolist(), nums.tolist()))
+            _, _, jump_d = trapezoid._edge_jumps(n, displacements(spec))
+            assert np.abs(np.cumsum(jump_d)).max() <= 2 * n * n and abs(last) <= 2 * n * n
 
     def test_int64_limit_boundary(self, monkeypatch):
         def no_sweep(*args):
@@ -570,10 +554,10 @@ class TestSlopeIntegration:
         # the largest n reaches the sweep; one more is refused before it
         monkeypatch.setattr(trapezoid, "_edge_jumps", no_sweep)
         n = trapezoid.SLOPE_MAX_N
-        assert 16 * n**4 < 2**63 <= 16 * (n + 1) ** 4
+        assert n == 27_554
         with pytest.raises(RuntimeError, match="the sweep started"):
             area(TrapezoidSpec(n, reversal(n)))
-        with pytest.raises(ValueError, match="overflow int64"):
+        with pytest.raises(ValueError, match="the largest n exact area accepts"):
             area(TrapezoidSpec(n + 1, reversal(n + 1)))
 
     def test_area_builds_no_profile(self, monkeypatch):
