@@ -80,24 +80,17 @@ def digit_swap_permutation(m: int) -> Permutation:
     """Permutation of {1..3^m} swapping digits 1 and 2 in base 3.
 
     Position j maps via the m-digit base-3 expansion of j-1, sending each
-    digit d to 2d mod 3 (0 stays, 1 and 2 swap).
+    digit d to 2d mod 3 (0 stays, 1 and 2 swap).  Built level by level: in
+    0-based terms, image_m[3q + r] = (0, 2, 1)[r] + 3 * image_(m-1)[q].
     """
     if m < 0:
         raise ValueError(f"negative order {m}")
     if m > MAX_DIGIT_SWAP_ORDER:
         raise ValueError(f"order {m} exceeds cap {MAX_DIGIT_SWAP_ORDER} (3^m blows up)")
-    n = 3**m
-    image = []
-    for x in range(n):
-        y = 0
-        z = x
-        weight = 1
-        for _ in range(m):
-            z, d = divmod(z, 3)
-            y += ((2 * d) % 3) * weight
-            weight *= 3
-        image.append(y + 1)
-    return Permutation(tuple(image))
+    image = [0]
+    for _ in range(m):
+        image = [3 * v + r for v in image for r in (0, 2, 1)]
+    return Permutation(tuple(v + 1 for v in image))
 
 
 @dataclass(frozen=True)

@@ -21,13 +21,22 @@ q*C + p*D: the sweep returns the kinks and totals as int64 arrays, with
 no Fraction or Python int built per kink, no list of candidate heights
 and no per-height sort.
 
+Every digit-swap and composite permutation is an involution,
+sigma(sigma(k)) = k, and then strip sigma(k) is strip k turned upside
+down, so the slice measure is symmetric, m(y) = m(1 - y).  The sweep
+checks this on the image and then takes only the rows k <= sigma(k),
+each with the mirrors of its pairs, in the band of heights below 1/2;
+the kinks above 1/2 are the mirrors (q - p)/q of those below, and the
+kink at 1/2 follows from the slope just below it.  The outputs are the
+full sweep's, bit for bit.
+
 ``area`` integrates by parts from the same jumps: with D_last the slope
 below y = 1, 2n times the area is 2n - D_last minus the sum of dC*p/q
 over the kinks, with no profile in between: one int64 product per kink,
-Python ints per distinct q, and one Fraction over 2n*lcm(q), for n up
-to ``SLOPE_MAX_N`` (27,554).  ``slice_profile`` wraps the kinks and
-totals in a ``PiecewiseLinearProfile`` for callers that read the
-profile itself.
+summed per distinct q in two int64 limbs, one Python int per distinct q,
+and one Fraction over 2n*lcm(q), for n up to ``SLOPE_MAX_N`` (27,554).
+``slice_profile`` wraps the kinks and totals in a
+``PiecewiseLinearProfile`` for callers that read the profile itself.
 
 ``FareyGrid`` scores many permutations of one n at once, for exhaustive
 and heuristic search: the same integer slice totals, taken on the one
@@ -152,7 +161,7 @@ def _packing(n: int) -> tuple[int, int]:
     return shift, tag
 
 
-def _edge_jumps(n: int, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _edge_jumps(n: int, d: np.ndarray, half: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Height keys where the slice measure's integer sums C and D jump, and the jumps.
 
     In units of 1/n strip k covers [L_k, L_k + 1] with L_k = k + d_k*y, so n
@@ -181,6 +190,17 @@ def _edge_jumps(n: int, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     Returns the distinct keys of the run edges, sorted and always with 0
     and 4n^2 (y = 0 and 1), and the summed jumps of C and D at each, as
     int64 arrays.  Each end steps at most once at one height.
+
+    With ``half``, for an involution (sigma(sigma(k)) = k), only the band
+    of heights below 1/2 is swept.  There L_k(1 - y) = L_sigma(k)(y), so
+    the pair (sigma(k), sigma(j)) covers the same end of strip sigma(k) at
+    1 - y as (k, j) covers of strip k at y.  The slabs take only the rows
+    k <= sigma(k) and emit, beside each pair of a row k < sigma(k), its
+    mirror pair, so every end's intervals still land in one slab.  Pairs
+    whose intervals start at or above 1/2 (2|s| - 2 >= |e|) are dropped,
+    and so are run edges keyed at or above 2n^2, y = 1/2: the keys returned
+    start with 0 and all lie below 2n^2, with the full sweep's jumps at
+    each.  ``_kinks`` mirrors the rest.
     """
     shift, tag = _packing(n)
     width = 4 * n * n
@@ -189,9 +209,9 @@ def _edge_jumps(n: int, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     strip = np.arange(n, dtype=np.int64)
     share_c = np.concatenate([-strip, strip + 1, strip, -1 - strip])
     share_d = np.concatenate([-d, d, d, -d])
-    keys = np.array([0, width], dtype=np.int64)
-    jump_c = np.zeros(2, dtype=np.int64)
-    jump_d = np.zeros(2, dtype=np.int64)
+    keys = np.array([0] if half else [0, width], dtype=np.int64)
+    jump_c = np.zeros(keys.size, dtype=np.int64)
+    jump_d = np.zeros(keys.size, dtype=np.int64)
     # run starts and stops, packed as (height, end tag), held until there are
     # _BATCH_EDGES of them or, if more, as many as keys so far, then merged
     # into the summed jumps
@@ -217,21 +237,36 @@ def _edge_jumps(n: int, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
         jump_d = np.add.reduceat(np.concatenate((jump_d, share_d[end]))[order], first)
 
     held = 0
+    # an involution sweeps the rows k <= sigma(k), that is, d_k >= 0
+    swept = np.flatnonzero(d >= 0) if half else strip
     rows_per_slab = max(1, _SLAB_PAIRS // n)
-    for k0 in range(0, n, rows_per_slab):
-        rows = strip[k0 : k0 + rows_per_slab, None]
+    for k0 in range(0, swept.size, rows_per_slab):
+        rows = swept[k0 : k0 + rows_per_slab, None]
         # s = j - k and e = d_k - d_j over the slab's rows k and every j: a
         # pair covers an end of k iff s*e >= s^2 off the diagonal, that is,
         # e and s share a sign with |e| >= |s|
         s = strip - rows
         e = d[rows] - d
         bar = s * s
-        bar.ravel()[k0 :: n + 1] = 1
+        bar[np.arange(rows.size), rows[:, 0]] = 1
         keep = s * e >= bar
-        s = s[keep]
+        row = np.repeat(rows[:, 0], keep.sum(axis=1))
+        s, e = s[keep], e[keep]
+        if half:
+            # strip sigma(k)'s pairs are the mirrors (sigma(k), sigma(j)) of
+            # strip k's, s - e and -e, covering the same ends of sigma(k) at
+            # the heights 1 - y; a fixed strip has them among its own.  Only
+            # pairs whose intervals start below 1/2 are kept: (c - 1)/|e| < 1/2
+            # with c = |s|, and for the mirror, c' = |e| - c
+            c, den = np.abs(s), np.abs(e)
+            own = np.flatnonzero(2 * c - 2 < den)
+            mirror = np.flatnonzero((2 * c + 2 > den) & (d[row] > 0))
+            row = np.concatenate((row[own], row[mirror] + d[row[mirror]]))
+            s = np.concatenate((s[own], s[mirror] - e[mirror]))
+            e = np.concatenate((e[own], e[mirror]))
         if not s.size:
             continue
-        e = np.abs(e[keep])
+        e = np.abs(e)
         # the lower interval ((c - 1)/e, c/e), c = |s|, covers R_k when j > k
         # and L_k when j < k; the upper interval (c/e, (c + 1)/e) covers the
         # other end of k.  Row 0 of ``ends`` keys the lower interval's end,
@@ -240,7 +275,7 @@ def _edge_jumps(n: int, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
         # strips k and j the same top
         ends = (s > 0) * _END_FLIP + _END_ROWS
         ends *= n
-        ends += np.repeat(rows[:, 0], keep.sum(axis=1))
+        ends += row
         ends <<= shift
         cut = np.abs(s) * width + _CUT_ROWS * width
         cut //= e
@@ -265,6 +300,11 @@ def _edge_jumps(n: int, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
         end = edges >> shift
         end[:runs] += 2 * n
         edges &= (1 << shift) - 1
+        if half:
+            # every start lies below 1/2; the stops at or above it are the
+            # mirror's
+            below = edges < width // 2
+            edges, end = edges[below], end[below]
         edges <<= tag
         edges |= end
         pending.append(edges)
@@ -278,7 +318,7 @@ def _edge_jumps(n: int, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def _kinks(
-    n: int, keys: np.ndarray, jump_c: np.ndarray, jump_d: np.ndarray
+    n: int, keys: np.ndarray, jump_c: np.ndarray, jump_d: np.ndarray, half: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """Kinks p/q of the slice measure, its totals there over n*q, and its jumps there.
 
@@ -289,34 +329,57 @@ def _kinks(
     a kink p/q is q*C + p*D.  Returns p, q, the totals and jump_c at each
     kink as int64 arrays, and D on the last piece, below y = 1.
 
+    With ``half`` the keys are an involution's, all below 1/2, and the
+    measure is symmetric, m(y) = m(1 - y).  A kink p/q < 1/2 mirrors to
+    (q - p)/q with the same q, total and jump_d, and with
+    jump_c' = -jump_d - jump_c.  With C + D*y the piece just below 1/2, the
+    piece above it has slope -D: a kink at 1/2 iff D != 0, with
+    jump_d = -2D, jump_c = D and total 2C + D.  The slope below 1 is minus
+    the slope above 0.
+
     Checks on every call: the pieces below 0 and above 1 count every end as
     exposed (C = n, D = 0), and the slice at y = 0 and at y = 1 is all of
-    [0, 1], so jump_c is 0 at y = 0 and C + D is n just below 1; heights
-    with jump_d = 0 have jump_c = 0; and each reduced kink has
-    0 < p < q < 2n and lies on its own key, floor(p * 4n^2 / q).
+    [0, 1], so jump_c is 0 at y = 0 and C + D is n just below 1 (on the
+    half, the check at 0 gives the one at 1 by symmetry); heights with
+    jump_d = 0 have jump_c = 0; and each reduced kink has 0 < p < q < 2n
+    (2p < q on the half) and lies on its own key, floor(p * 4n^2 / q).
     """
     # C and D on the piece above each key
     above_c = np.cumsum(jump_c)
     above_c += n
     above_d = np.cumsum(jump_d)
-    if jump_c[0] or above_c[-1] != n or above_d[-1] or above_c[-2] + above_d[-2] != n:
+    if jump_c[0] or not half and (above_c[-1] != n or above_d[-1] or above_c[-2] + above_d[-2] != n):
         raise AssertionError("the slice at y = 0 or 1 is not all of [0, 1]")
-    if jump_c[1:-1][jump_d[1:-1] == 0].any():
+    # the keys strictly inside (0, 1), or (0, 1/2) on the half
+    inner = slice(1, None if half else -1)
+    if jump_c[inner][jump_d[inner] == 0].any():
         raise AssertionError("the slice measure jumps where its slope does not change")
-    last = int(above_d[-2])
-    at = np.flatnonzero(jump_d[1:-1]) + 1
+    if half:
+        # p, q, the total and jump_c of the kink at 1/2, if there is one,
+        # from C and D just below it
+        c, slope = int(above_c[-1]), int(above_d[-1])
+        middle = np.array([[1], [2], [2 * c + slope], [slope]], dtype=np.int64)[:, : 1 if slope else 0]
+    last = -int(above_d[0]) if half else int(above_d[-2])
+    at = np.flatnonzero(jump_d[inner]) + 1
     above_c, above_d = above_c[at], above_d[at]
     jump_c, jump_d = jump_c[at], jump_d[at]
     sign = np.sign(jump_d)
     g = np.gcd(jump_c, jump_d)
     nums = -jump_c * sign // g
     dens = jump_d * sign // g
-    if not np.all((0 < nums) & (nums < dens) & (dens < 2 * n)):
-        raise AssertionError("a kink lies outside (0, 1) or has a denominator of 2n or more")
+    if not np.all((0 < nums) & ((2 * nums if half else nums) < dens) & (dens < 2 * n)):
+        raise AssertionError(f"a kink lies outside (0, {'1/2' if half else 1}) or has a denominator of 2n or more")
     if not np.array_equal(nums * (4 * n * n) // dens, keys[at]):
         raise AssertionError("a kink lies off its edge key")
     totals = dens * above_c
     totals += nums * above_d
+    if not half:
+        return nums, dens, totals, jump_c, last
+    lower = (nums, dens, totals, jump_c)
+    upper = (dens - nums, dens, totals, -jump_d - jump_c)
+    nums, dens, totals, jump_c = (
+        np.concatenate((low, mid, high[::-1])) for low, mid, high in zip(lower, middle, upper)
+    )
     return nums, dens, totals, jump_c, last
 
 
@@ -324,10 +387,14 @@ def _sweep(spec: TrapezoidSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     """``_kinks`` of the trapezoid: kinks p/q, totals over n*q, jumps dC, last slope.
 
     The measure is linear between consecutive kinks (and the ends y = 0, 1).
+    An involution, sigma(sigma(k)) = k, or d at k + d_k equal to -d_k, has
+    strip sigma(k) at height y where strip k is at 1 - y, so its lower half
+    is swept and mirrored; the outputs are the full sweep's, bit for bit.
     """
     n = spec.n
     d = np.array(_displacements(spec), dtype=np.int64)
-    return _kinks(n, *_edge_jumps(n, d))
+    half = bool(np.array_equal(d[np.arange(n) + d], -d))
+    return _kinks(n, *_edge_jumps(n, d, half), half)
 
 
 def slice_profile(spec: TrapezoidSpec) -> PiecewiseLinearProfile:
@@ -348,6 +415,24 @@ def slice_profile(spec: TrapezoidSpec) -> PiecewiseLinearProfile:
     )
 
 
+def _sums_by_denominator(dens: np.ndarray, terms: np.ndarray) -> dict[int, int]:
+    """Exact sums of the int64 ``terms`` over each distinct denominator, as Python ints.
+
+    The terms are ``area``'s dC*p, below 2n^3 in size, at distinct kinks, so
+    fewer than q < 2n of them share a q.  Each is split into 32-bit limbs,
+    t = (t >> 32) * 2^32 + (t & 0xFFFFFFFF), and each limb is summed in
+    int64 over the runs of equal q: the low sums stay below 2n * 2^32 and the
+    high ones below 2n * (2n^3 / 2^32 + 1), under 2^53 for every n that
+    ``_packing`` admits.  One Python int is built per distinct q.
+    """
+    order = np.argsort(dens, kind="stable")
+    dens, terms = dens[order], terms[order]
+    first = np.flatnonzero(np.diff(dens, prepend=0))
+    low = np.add.reduceat(terms & 0xFFFFFFFF, first)
+    high = np.add.reduceat(terms >> 32, first)
+    return {q: (h << 32) + lo for q, h, lo in zip(dens[first].tolist(), high.tolist(), low.tolist())}
+
+
 # Largest n that ``area`` accepts; larger n is refused before any sweep.
 SLOPE_MAX_N = 27_554
 
@@ -361,17 +446,18 @@ def area(spec: TrapezoidSpec) -> Rational:
     of y*D.  D steps by dD at each kink p/q, where dC = -dD*p/q, so
     2n*area = 2n - D_last - sum over kinks of dC*p/q, with D_last the slope
     below y = 1.  Each dC*p is an int64 below 2n^3 (|dC| <= n^2, p < 2n);
-    they are summed per distinct q as Python ints into one Fraction over
-    2n*lcm(q), with no profile built.  Equal to
+    they are summed per distinct q in numpy (``_sums_by_denominator``), and
+    the sums as Python ints into one Fraction over 2n*lcm(q), with no
+    profile built.  Equal to
     ``integrate_plp(slice_profile(spec))``.
     """
     n = spec.n
     if n > SLOPE_MAX_N:
         raise ValueError(f"n={n} is above {SLOPE_MAX_N}, the largest n exact area accepts")
     nums, dens, _, jumps, last = _sweep(spec)
-    acc: dict[int, int] = {}
-    for den, term in zip(dens.tolist(), (jumps * nums).tolist()):
-        acc[den] = acc.get(den, 0) + term
+    if not dens.size:
+        return Fraction(2 * n - last, 2 * n)
+    acc = _sums_by_denominator(dens, jumps * nums)
     scale = lcm(*acc)
     total = sum(num * (scale // den) for den, num in acc.items())
     return Fraction((2 * n - last) * scale - total, 2 * n * scale)

@@ -73,6 +73,16 @@ class TestNamedFamilies:
             digit_swap_permutation(15)
 
     @pytest.mark.parametrize("m", range(0, 9))
+    def test_digit_swap_matches_base3_digit_formula(self, m):
+        # the level-by-level construction against the definition: swap the base-3
+        # digits 1 and 2 of j - 1, read from its m-digit expansion
+        def swapped(x):
+            digits = [(x // 3**i) % 3 for i in range(m)]
+            return sum({0: 0, 1: 2, 2: 1}[digit] * 3**i for i, digit in enumerate(digits))
+
+        assert digit_swap_permutation(m).image == tuple(swapped(x) + 1 for x in range(3**m))
+
+    @pytest.mark.parametrize("m", range(0, 9))
     def test_digit_swap_is_involution(self, m):
         p = digit_swap_permutation(m)
         n = 3**m

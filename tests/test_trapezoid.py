@@ -500,9 +500,91 @@ def random_involution(rng, n):
     return Permutation(tuple(image))
 
 
+def full_sweep(spec):
+    """``_kinks`` of the full edge sweep, which every non-involution takes."""
+    return trapezoid._kinks(spec.n, *trapezoid._edge_jumps(spec.n, displacements(spec)))
+
+
+def involution_corpus():
+    """Every involution up to n = 8, 300 random ones up to n = 400, the
+    digit-swap family up to m = 7 and composites up to n = 3000."""
+    for n in range(1, 9):
+        for image in itertools_permutations(range(1, n + 1)):
+            if all(image[v - 1] == j for j, v in enumerate(image, start=1)):
+                yield spec_of(image)
+    rng = random.Random(1601)
+    for _ in range(300):
+        n = rng.randint(1, 400)
+        yield TrapezoidSpec(n, random_involution(rng, n))
+    for m in range(8):
+        yield TrapezoidSpec(3**m, digit_swap_permutation(m))
+    for n in (10, 100, 364, 1000, 3000):
+        yield TrapezoidSpec(n, composite_permutation(n))
+
+
 class TestMirroredTotals:
     """Self-inverse permutations: every digit-swap and composite one, with
-    profiles symmetric about y = 1/2, swept in full like any other."""
+    profiles symmetric about y = 1/2.  ``_sweep`` sweeps their rows
+    k <= sigma(k) below y = 1/2 and mirrors the kinks above it."""
+
+    def test_half_sweep_matches_full_sweep(self):
+        seen = 0
+        for spec in involution_corpus():
+            half, full = trapezoid._sweep(spec), full_sweep(spec)
+            for got, want in zip(half[:4], full[:4]):
+                assert got.dtype == np.int64 and np.array_equal(got, want)
+            assert type(half[4]) is int and half[4] == full[4]
+            seen += 1
+        assert seen == 1115 + 300 + 8 + 5
+
+    def test_only_involutions_take_the_half_sweep(self, monkeypatch):
+        taken = []
+        edge_jumps = trapezoid._edge_jumps
+
+        def recorded(n, d, half):
+            taken.append(half)
+            return edge_jumps(n, d, half)
+
+        monkeypatch.setattr(trapezoid, "_edge_jumps", recorded)
+        rng = random.Random(17)
+        specs = [spec for n in range(1, 6) for spec in all_specs(n)]
+        for n in (9, 64, 200):
+            image = list(range(1, n + 1))
+            rng.shuffle(image)
+            specs.append(spec_of(image))
+            # an involution with its first three values rotated
+            image = list(random_involution(rng, n).image)
+            image[0], image[1], image[2] = image[1], image[2], image[0]
+            specs.append(spec_of(image))
+        for spec in specs:
+            sigma = spec.sigma
+            trapezoid._sweep(spec)
+            assert taken.pop() == all(sigma(sigma(j)) == j for j in range(1, spec.n + 1))
+
+    def test_kink_at_one_half_from_symmetry(self):
+        # the two strips of the reversal n = 2 cross at y = 1/2, where the
+        # slope turns from -1 to 1 (n times the measure is 2 - 2y below)
+        nums, dens, totals, jumps, last = trapezoid._sweep(TrapezoidSpec(2, reversal(2)))
+        assert (nums.tolist(), dens.tolist(), totals.tolist(), jumps.tolist(), last) == ([1], [2], [2], [-2], 2)
+        nums, dens, totals, jumps, last = trapezoid._sweep(TrapezoidSpec(2, identity(2)))
+        assert nums.size == dens.size == totals.size == jumps.size == last == 0
+
+    def test_half_kink_at_or_above_one_half_refused(self):
+        # the full sweep's keys without y = 1, read as a lower half
+        n = 9
+        keys, jump_c, jump_d = trapezoid._edge_jumps(n, displacements(TrapezoidSpec(n, digit_swap_permutation(2))))
+        with pytest.raises(AssertionError, match=r"outside \(0, 1/2\)"):
+            trapezoid._kinks(n, keys[:-1], jump_c[:-1], jump_d[:-1], True)
+
+    def test_half_keys_stay_below_one_half(self):
+        n = 27
+        d = displacements(TrapezoidSpec(n, digit_swap_permutation(3)))
+        keys, jump_c, jump_d = trapezoid._edge_jumps(n, d, True)
+        full_keys, full_c, full_d = trapezoid._edge_jumps(n, d)
+        below = full_keys < 2 * n * n
+        assert keys[0] == 0 and keys[-1] < 2 * n * n
+        assert np.array_equal(keys, full_keys[below])
+        assert np.array_equal(jump_c, full_c[below]) and np.array_equal(jump_d, full_d[below])
 
     def test_every_involution_up_to_eight(self):
         seen = 0
@@ -559,6 +641,34 @@ class TestSlopeIntegration:
             area(TrapezoidSpec(n, reversal(n)))
         with pytest.raises(ValueError, match="the largest n exact area accepts"):
             area(TrapezoidSpec(n + 1, reversal(n + 1)))
+
+    def test_limb_sums_match_python_ints(self):
+        # terms near +-2n^3 at the largest n that _packing admits, 2^17 of
+        # them on each of two q, summed per q in two int64 limbs; the sums
+        # are far past int64, and a q holds fewer than 2n terms in a sweep
+        n = 741_455
+        trapezoid._packing(n)
+        with pytest.raises(AssertionError, match="overflow int64"):
+            trapezoid._packing(n + 1)
+        top = 2 * n**3 - 1
+        many = 1 << 17
+        rng = np.random.default_rng(5)
+        dens = np.concatenate([np.full(many, 2 * n - 1), np.full(many, 2 * n - 3), np.arange(2, 50)])
+        terms = np.concatenate(
+            [
+                top - rng.integers(0, 2**40, many),
+                -top + rng.integers(0, 2**40, many),
+                rng.integers(-top, top, 48),
+            ]
+        )
+        terms[many : many + 6] = [top, -top, 1, -1, 2**32, -(2**32)]
+        order = rng.permutation(dens.size)
+        dens, terms = dens[order], terms[order]
+        want: dict[int, int] = {}
+        for q, t in zip(dens.tolist(), terms.tolist()):
+            want[q] = want.get(q, 0) + t
+        assert trapezoid._sums_by_denominator(dens, terms) == want
+        assert abs(want[2 * n - 1]) > 2**63
 
     def test_area_builds_no_profile(self, monkeypatch):
         def no_profile(*args):
