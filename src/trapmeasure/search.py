@@ -2,13 +2,15 @@
 
 The exact path enumerates all n! pairings (optionally one representative
 per four-element symmetry class) as blocks of images unranked in numpy,
-drops the non-representatives of each block with a vector form of
-``canonical_class``, and scores the rest with the exact integer kernel
-of ``trapezoid.FareyGrid``; each range's winner is checked against the
-exact sweep.  With several workers it cuts the lexicographic rank space
-into many small contiguous ranges, about 32 per worker, that a process
-pool hands out as workers free up; the reduction runs in rank order, so
-results are identical for any worker count.  Searches of fewer than
+with their inverses from a fixed table, drops the non-representatives of
+each block with a vector form of ``canonical_class``, and scores the
+rest, pooled over consecutive blocks into batches of ``_KERNEL_ROWS``
+(fewer where they would pass ``_KERNEL_BYTES``), with the exact integer
+kernel of ``trapezoid.FareyGrid``; each range's winner is checked
+against the exact sweep.  With several workers it cuts the lexicographic
+rank space into many small contiguous ranges, about 32 per worker, that
+a process pool hands out as workers free up; the reduction runs in rank
+order, so results are identical for any worker count.  Searches of fewer than
 ``POOL_MIN_RANKS`` ranks (n <= 8) take less time than starting the pool
 and run in this process.  Exactness bounds n to 15:
 beyond it the base-(n+1) row codes of the filter overflow int64.  The
@@ -16,10 +18,11 @@ heuristic path is a seeded first-improvement descent over adjacent
 transpositions with random restarts, reporting an upper bound.  Up to
 ``HEURISTIC_GRID_MAX_N`` it scores every neighbour a scan may reach (and
 each restart with its first scan's neighbours) in one call of the grid's
-exact multi-limb ``FareyGrid.areas``, then replays the descent in order,
-so budget, restarts and results are those of one sweep per permutation;
-the reported minimum is checked against the exact sweep.  Above the cap
-each permutation gets its own ``area`` sweep.
+exact multi-limb ``FareyGrid.numerators``, then replays the descent in
+order on those integers, so budget, restarts and results are those of one
+sweep per permutation; one ``Fraction`` is built for the reported
+minimum, which is checked against the exact sweep.  Above the cap each
+permutation gets its own ``area`` sweep.
 """
 
 from __future__ import annotations
@@ -57,7 +60,8 @@ RANGES_PER_WORKER = 32
 
 # below this many ranks the search runs in this process whatever the worker
 # count: on 2 cores 8! ranks take about 0.02 s, less than starting a process
-# pool (about 0.04 s), while 9! ranks take 0.24 s alone and 0.17 s on two
+# pool (0.05-0.1 s), while 9! ranks take about 0.13 s either way and 10!
+# about 1.2 s alone and 0.8 s on two
 POOL_MIN_RANKS = 100_000
 
 # largest n whose heuristic scores each neighbourhood in one Farey-grid call;
@@ -109,48 +113,90 @@ class AlphaRecord:
 # enumeration blocks hold every order of the last (up to) six entries
 _TAIL = 6
 
-# permutations per kernel call: large enough to amortize numpy's per-call
-# cost, small enough to keep the kernel's arrays well under 1 MB at n <= 10
-_KERNEL_ROWS = 256
+# kept permutations per kernel call: the kept rows of consecutive blocks
+# are pooled and cut into calls of this many, which amortizes numpy's
+# per-call cost (a block keeps about 190 rows at n = 8)
+_KERNEL_ROWS = 1024
+# but fewer where their endpoints, n rows of the grid table each, would pass
+# this many bytes, about where the network's passes leave the core's share of
+# L2: from n = 11 on (at n = 13, int16 at 4.6 kB a row, 1,024-row calls ran
+# 12% slower than 225-row ones; at n = 11, 1,501-row calls 70% slower than
+# 1,024-row ones)
+_KERNEL_BYTES = 1 << 20
 
 
 @lru_cache(maxsize=None)
-def _tail_orders(m: int) -> np.ndarray:
-    """All m! orders of range(m), in lexicographic order."""
-    return np.array(list(itertools.permutations(range(m))), dtype=np.intp)
+def _block_orders(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index tables of the enumeration blocks of n, and their 1-based argsort.
+
+    Row r of the first keeps the first n - m places and then lists the
+    r-th of the m! orders of the last m places, in lexicographic order
+    (m = min(n, 6)); row r of the second is where each place ends up.
+    """
+    head = n - min(n, _TAIL)
+    orders = np.array(
+        [(*range(head), *(head + i for i in order)) for order in itertools.permutations(range(n - head))],
+        dtype=np.intp,
+    )
+    return orders, np.argsort(orders, axis=1) + 1
 
 
-def _rank_blocks(n: int, start: int, stop: int) -> Iterator[np.ndarray]:
-    """Images of the ranks [start, stop) in lexicographic order, as blocks.
+def _rank_blocks(n: int, start: int, stop: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Images of the ranks [start, stop) in lexicographic order, as blocks, with their inverses.
 
     Ranks in one aligned run of m! share their first n - m entries and
     list every order of the last m, so each block is the run's first
-    permutation with its tail reordered by a fixed index table.
+    permutation, whose last m entries are sorted, reordered by a fixed
+    index table.  Row r puts first[i] at place places[r, i], so its inverse
+    maps value v to places[r, i] for the i where first[i] = v: each block's
+    inverses are the table's cached argsort with its columns taken in the
+    order of one argsort of ``first``, with no per-row sort.
     """
-    m = min(n, _TAIL)
-    orders = _tail_orders(m)
+    orders, places = _block_orders(n)
     size = len(orders)
     for base in range(start - start % size, stop, size):
         first = np.array(permutation_at_rank(n, base).image, dtype=np.int64)
         lo, hi = max(start, base) - base, min(stop, base + size) - base
-        block = np.empty((hi - lo, n), dtype=np.int64)
-        block[:, : n - m] = first[: n - m]
-        block[:, n - m :] = first[n - m :][orders[lo:hi]]
-        yield block
+        yield first[orders[lo:hi]], places[lo:hi][:, first.argsort()]
 
 
-def _canonical_mask(images: np.ndarray) -> np.ndarray:
-    """Rows that are their own ``canonical_class`` representative.
+def _canonical_mask(images: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """Rows that are their own ``canonical_class`` representative, given each row's inverse.
 
     Rows are compared as base-(n+1) codes, which order them as the
     lexicographic tuple order does while (n+1)^n < 2^63.
     """
     n = images.shape[1]
     powers = (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    inverse = np.argsort(images, axis=1) + 1
-    least = np.minimum(inverse @ powers, (n + 1 - images[:, ::-1]) @ powers)
-    np.minimum(least, (n + 1 - inverse[:, ::-1]) @ powers, out=least)
+    # the mirror r x r, n + 1 - x reversed, has code top - x @ reversed powers
+    reverse = powers[::-1].copy()
+    top = (n + 1) * int(powers.sum())
+    least = inverse @ powers
+    np.minimum(least, top - images @ reverse, out=least)
+    np.minimum(least, top - inverse @ reverse, out=least)
     return images @ powers <= least
+
+
+def _kept_batches(n: int, start: int, stop: int, use_symmetry: bool, rows: int) -> Iterator[np.ndarray]:
+    """The kept images of the ranks [start, stop), in rank order, ``rows`` at a time.
+
+    The kept rows of consecutive blocks are pooled and cut into batches of
+    ``rows``; the last batch of the range takes what is left.
+    """
+    pending: list[np.ndarray] = []
+    held = 0
+    for images, inverse in _rank_blocks(n, start, stop):
+        if use_symmetry:
+            images = images[_canonical_mask(images, inverse)]
+        pending.append(images)
+        held += len(images)
+        if held >= rows:
+            pooled = np.concatenate(pending)
+            full = held - held % rows
+            yield from np.split(pooled[:full], full // rows)
+            pending, held = [pooled[full:]], held - full
+    if held:
+        yield np.concatenate(pending)
 
 
 def _range_champion(
@@ -163,20 +209,18 @@ def _range_champion(
     """
     n, start, stop, use_symmetry = args
     grid = farey_grid(n)
+    batch = max(1, min(_KERNEL_ROWS, _KERNEL_BYTES // max(1, n * grid.table[0].nbytes)))
     best_num: int | None = None
     best_image: tuple[int, ...] | None = None
     evaluated = 0
-    for images in _rank_blocks(n, start, stop):
-        if use_symmetry:
-            images = images[_canonical_mask(images)]
-        evaluated += len(images)
-        for s in range(0, len(images), _KERNEL_ROWS):
-            rows = images[s : s + _KERNEL_ROWS]
-            nums = grid.area_numerators(rows)
-            # rows are in rank order, so the first minimum is the least image
-            i = int(nums.argmin())
-            if best_num is None or nums[i] < best_num:
-                best_num, best_image = int(nums[i]), tuple(rows[i].tolist())
+    work = grid.workspace(batch)
+    for rows in _kept_batches(n, start, stop, use_symmetry, batch):
+        evaluated += len(rows)
+        nums = grid.area_numerators(rows, work if len(rows) == batch else None)
+        # rows are in rank order, so the first minimum is the least image
+        i = int(nums.argmin())
+        if best_num is None or nums[i] < best_num:
+            best_num, best_image = int(nums[i]), tuple(rows[i].tolist())
     if best_image is None:
         return None, None, 0
     value = Fraction(best_num, grid.denominator)
@@ -282,8 +326,10 @@ def alpha_heuristic(n: int, budget: int, seed: int) -> AlphaRecord:
     rng = random.Random(seed)
     grid = farey_grid(n) if n <= HEURISTIC_GRID_MAX_N else None
     # every value computed so far, speculative ones included; only the
-    # images the descent really evaluates enter `evaluated`
-    scored: dict[tuple[int, ...], Fraction] = {}
+    # images the descent really evaluates enter `evaluated`.  On the grid
+    # the values are integer numerators over its one denominator, which
+    # order as the areas do; off it they are the sweep's Fractions
+    scored: dict[tuple[int, ...], int | Fraction] = {}
     evaluated: set[tuple[int, ...]] = set()
     attempts = 0
 
@@ -292,9 +338,9 @@ def alpha_heuristic(n: int, budget: int, seed: int) -> AlphaRecord:
         if grid is None:
             scored.update((image, area(TrapezoidSpec(n, Permutation(image)))) for image in missing)
         elif missing:
-            scored.update(zip(missing, grid.areas(np.array(missing))))
+            scored.update(zip(missing, grid.numerators(np.array(missing))))
 
-    def evaluate(image: tuple[int, ...]) -> Fraction:
+    def evaluate(image: tuple[int, ...]) -> int | Fraction:
         nonlocal attempts
         attempts += 1
         if image not in scored:
@@ -335,8 +381,10 @@ def alpha_heuristic(n: int, budget: int, seed: int) -> AlphaRecord:
             current_area = evaluate(current)
             if (current_area, current) < (best_area, best_image):
                 best_area, best_image = current_area, current
-    if grid is not None and best_area != area(TrapezoidSpec(n, Permutation(best_image))):
-        raise AssertionError(f"grid kernel disagrees with the exact sweep at {best_image}")
+    if grid is not None:
+        best_area = Fraction(best_area, grid.denominator)
+        if best_area != area(TrapezoidSpec(n, Permutation(best_image))):
+            raise AssertionError(f"grid kernel disagrees with the exact sweep at {best_image}")
     return AlphaRecord(
         n=n,
         alpha=best_area,

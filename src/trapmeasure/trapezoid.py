@@ -318,16 +318,19 @@ def _edge_jumps(n: int, d: np.ndarray, half: bool = False) -> tuple[np.ndarray, 
 
 
 def _kinks(
-    n: int, keys: np.ndarray, jump_c: np.ndarray, jump_d: np.ndarray, half: bool = False
+    n: int, edges: tuple[np.ndarray, np.ndarray, np.ndarray], half: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """Kinks p/q of the slice measure, its totals there over n*q, and its jumps there.
 
-    Takes ``_edge_jumps``' keys and jumps.  n times the measure is C + D*y
-    between keys and continuous, so at a key's height y the jumps satisfy
-    jump_c + jump_d*y = 0: the slope changes there iff jump_d != 0, at
-    y = -jump_c/jump_d, and where jump_d = 0 also jump_c = 0.  The total at
-    a kink p/q is q*C + p*D.  Returns p, q, the totals and jump_c at each
-    kink as int64 arrays, and D on the last piece, below y = 1.
+    Takes ``_edge_jumps``' keys and jumps as one tuple, so that ``_sweep``,
+    which passes them on, keeps no reference, and each is freed once read
+    (on CPython 3.11 and later, whose calls hand their arguments over).
+    n times the measure is C + D*y between keys and continuous, so at a
+    key's height y the jumps satisfy jump_c + jump_d*y = 0: the slope
+    changes there iff jump_d != 0, at y = -jump_c/jump_d, and where
+    jump_d = 0 also jump_c = 0.  The total at a kink p/q is q*C + p*D.
+    Returns p, q, the totals and jump_c at each kink as int64 arrays, and D
+    on the last piece, below y = 1.
 
     With ``half`` the keys are an involution's, all below 1/2, and the
     measure is symmetric, m(y) = m(1 - y).  A kink p/q < 1/2 mirrors to
@@ -335,7 +338,9 @@ def _kinks(
     jump_c' = -jump_d - jump_c.  With C + D*y the piece just below 1/2, the
     piece above it has slope -D: a kink at 1/2 iff D != 0, with
     jump_d = -2D, jump_c = D and total 2C + D.  The slope below 1 is minus
-    the slope above 0.
+    the slope above 0.  The kinks below 1/2 are computed in place at the
+    front of the output arrays, and their mirrors written into the back in
+    reverse order, with no temporary of the outputs' size.
 
     Checks on every call: the pieces below 0 and above 1 count every end as
     exposed (C = n, D = 0), and the slice at y = 0 and at y = 1 is all of
@@ -344,6 +349,8 @@ def _kinks(
     jump_d = 0 have jump_c = 0; and each reduced kink has 0 < p < q < 2n
     (2p < q on the half) and lies on its own key, floor(p * 4n^2 / q).
     """
+    keys, jump_c, jump_d = edges
+    del edges
     # C and D on the piece above each key
     above_c = np.cumsum(jump_c)
     above_c += n
@@ -354,33 +361,45 @@ def _kinks(
     inner = slice(1, None if half else -1)
     if jump_c[inner][jump_d[inner] == 0].any():
         raise AssertionError("the slice measure jumps where its slope does not change")
-    if half:
-        # p, q, the total and jump_c of the kink at 1/2, if there is one,
-        # from C and D just below it
-        c, slope = int(above_c[-1]), int(above_d[-1])
-        middle = np.array([[1], [2], [2 * c + slope], [slope]], dtype=np.int64)[:, : 1 if slope else 0]
+    # on the half, C and D just below 1/2
+    c, slope = int(above_c[-1]), int(above_d[-1])
     last = -int(above_d[0]) if half else int(above_d[-2])
     at = np.flatnonzero(jump_d[inner]) + 1
-    above_c, above_d = above_c[at], above_d[at]
-    jump_c, jump_d = jump_c[at], jump_d[at]
-    sign = np.sign(jump_d)
-    g = np.gcd(jump_c, jump_d)
-    nums = -jump_c * sign // g
-    dens = jump_d * sign // g
-    if not np.all((0 < nums) & ((2 * nums if half else nums) < dens) & (dens < 2 * n)):
+    count = at.size
+    size = 2 * count + (slope != 0) if half else count
+    nums, dens, totals, jumps = (np.empty(size, dtype=np.int64) for _ in range(4))
+    p, q, t = nums[:count], dens[:count], totals[:count]
+    dc = np.take(jump_c, at, out=jumps[:count])
+    dd = jump_d[at]
+    del jump_c, jump_d
+    sign = np.sign(dd)
+    g = np.gcd(dc, dd)
+    np.multiply(dc, sign, out=p)
+    np.negative(p, out=p)
+    p //= g
+    np.multiply(dd, sign, out=q)
+    q //= g
+    del sign, g
+    if not np.all((0 < p) & ((2 * p if half else p) < q) & (q < 2 * n)):
         raise AssertionError(f"a kink lies outside (0, {'1/2' if half else 1}) or has a denominator of 2n or more")
-    if not np.array_equal(nums * (4 * n * n) // dens, keys[at]):
+    if not np.array_equal(p * (4 * n * n) // q, keys[at]):
         raise AssertionError("a kink lies off its edge key")
-    totals = dens * above_c
-    totals += nums * above_d
+    del keys
+    np.multiply(q, above_c[at], out=t)
+    t += p * above_d[at]
+    del above_c, above_d, at
     if not half:
-        return nums, dens, totals, jump_c, last
-    lower = (nums, dens, totals, jump_c)
-    upper = (dens - nums, dens, totals, -jump_d - jump_c)
-    nums, dens, totals, jump_c = (
-        np.concatenate((low, mid, high[::-1])) for low, mid, high in zip(lower, middle, upper)
-    )
-    return nums, dens, totals, jump_c, last
+        return nums, dens, totals, jumps, last
+    if slope:
+        nums[count], dens[count], totals[count], jumps[count] = 1, 2, 2 * c + slope, slope
+    # the mirrors (q - p)/q of the kinks below 1/2, last first
+    np.subtract(q, p, out=nums[size - count :][::-1])
+    dens[size - count :][::-1] = q
+    totals[size - count :][::-1] = t
+    mirrored = jumps[size - count :][::-1]
+    np.add(dd, dc, out=mirrored)
+    np.negative(mirrored, out=mirrored)
+    return nums, dens, totals, jumps, last
 
 
 def _sweep(spec: TrapezoidSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
@@ -394,7 +413,7 @@ def _sweep(spec: TrapezoidSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     n = spec.n
     d = np.array(_displacements(spec), dtype=np.int64)
     half = bool(np.array_equal(d[np.arange(n) + d], -d))
-    return _kinks(n, *_edge_jumps(n, d, half), half)
+    return _kinks(n, _edge_jumps(n, d, half), half)
 
 
 def slice_profile(spec: TrapezoidSpec) -> PiecewiseLinearProfile:
@@ -505,17 +524,25 @@ class FareyGrid:
 
     D passes 2^62 at n = 22 (it is about 2^69 at n = 24), so the weights
     are kept as 31-bit int64 ``limbs``: each limb's dot product with the
-    gaps is exact in int64, and ``areas`` recombines the limbs into
-    Python-int numerators, one ``Fraction`` per permutation, for any n
-    the table allows.  ``area_numerators`` keeps the plain int64 result
-    for exhaustive search; it, not the constructor, refuses a D of 2^62
-    or more (``fits_int64``).
+    gaps is exact in int64, and ``numerators`` recombines the limbs into
+    Python-int numerators over D for any n the table allows (``areas``
+    wraps each in a ``Fraction``).  ``area_numerators`` keeps the plain
+    int64 result for exhaustive search; it, not the constructor, refuses a
+    D of 2^62 or more (``fits_int64``).
 
     Row j0 * n + v - 1 of ``table`` holds the endpoints
     j0*q + (v - 1 - j0)*p = j0*(q - p) + (v - 1)*p of strip j0 with image
-    value v at every height: n^2 rows, all in [0, (n - 1) q], so int16
-    holds them up to n = 128 (the constructor refuses more).  A sorting
-    network orders the n strips of all rows at once.
+    value v at every height: n^2 rows, all in [0, (n - 1) q], within
+    [0, 2(n - 1)^2].  A sorting network orders the n strips of all rows at
+    once, and the capped gaps of one row sum to at most its largest minus
+    its smallest endpoint, within the same bound.  So ``table``, ``q`` and
+    every temporary of the network and the gap loop are uint8 while
+    2(n - 1)^2 < 256 (n <= 12, every exhaustive size), which halves the
+    bytes the network moves, and int16 up to n = 128 (the constructor
+    refuses more); only the product with the limbs is int64.  No
+    temporary wraps: the table's parts (v - 1)*p and j0*(q - p) are at most
+    the endpoint bound, the network only moves values, and each gap
+    hi - lo of sorted endpoints is non-negative.
     """
 
     def __init__(self, n: int) -> None:
@@ -536,21 +563,43 @@ class FareyGrid:
         self.limbs = np.array(
             [[(w >> (_LIMB_BITS * i)) & mask for i in range(size)] for w in self.weights], dtype=np.int64
         ).reshape(len(heights), size)
-        p = np.array([y.numerator for y in heights], dtype=np.int16)
-        self.q = np.array([y.denominator for y in heights], dtype=np.int16)
+        dtype = np.uint8 if 2 * (n - 1) ** 2 < 2**8 else np.int16
+        p = np.array([y.numerator for y in heights], dtype=dtype)
+        self.q = np.array([y.denominator for y in heights], dtype=dtype)
         # the union of n width-q intervals is q plus the capped gaps
         self.offset = int(end_term * denominator) + sum(q * w for q, w in zip(self.q.tolist(), self.weights))
         # one strip of rows at a time, with no full-size temporary
-        self.table = np.empty((n * n, len(heights)), dtype=np.int16)
-        value_p = np.arange(n, dtype=np.int16)[:, None] * p
+        self.table = np.empty((n * n, len(heights)), dtype=dtype)
+        value_p = np.arange(n, dtype=dtype)[:, None] * p
         for j0 in range(n):
             np.add(value_p, j0 * (self.q - p), out=self.table[j0 * n : (j0 + 1) * n])
         self.network = _sorting_network(n)
 
-    def _limb_sums(self, images: np.ndarray) -> np.ndarray:
+    def workspace(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """Buffers for the two large temporaries of kernel calls on ``rows`` rows.
+
+        A caller that scores many batches of one size passes them to
+        ``area_numerators``, so the endpoints and the int64 copy of the gaps
+        are not allocated and freed on every call: past a few hundred kB
+        each, the allocator returns them to the system between calls and
+        every call pays the page faults again.
+        """
+        size = len(self.weights)
+        return np.empty((self.n, rows, size), dtype=self.table.dtype), np.empty((rows, size), dtype=np.int64)
+
+    def _limb_sums(self, images: np.ndarray, work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
         """Each limb's dot product with the capped gaps, per row of 1-based images."""
         n = self.n
-        rows = list(self.table[images.T + (np.arange(n) * n - 1)[:, None]])
+        index = images.T + (np.arange(n) * n - 1)[:, None]
+        # np.take copies whole table rows, 2-3x faster than fancy indexing here;
+        # into a buffer it needs a mode other than "raise" to skip a temporary,
+        # and the indices of a permutation's images are all in range
+        if work is None:
+            ends, wide = np.take(self.table, index, axis=0), None
+        else:
+            ends, wide = work
+            np.take(self.table, index, axis=0, out=ends, mode="clip")
+        rows = list(ends)
         # one contiguous ufunc call per comparator: 4-7x faster at n = 8..13
         # than np.sort on the last axis of a (B, K, n) copy
         spare = np.empty_like(rows[0])
@@ -563,28 +612,40 @@ class FareyGrid:
             np.subtract(hi, lo, out=spare)
             np.minimum(spare, self.q, out=spare)
             gaps += spare
-        return gaps @ self.limbs
+        if wide is None:
+            return gaps @ self.limbs
+        np.copyto(wide, gaps)
+        return wide @ self.limbs
 
     @property
     def fits_int64(self) -> bool:
         """Whether ``area_numerators`` can return int64 numerators (D < 2^62)."""
         return self.denominator < 2**62
 
-    def area_numerators(self, images: np.ndarray) -> np.ndarray:
-        """area * ``denominator`` for each row of 1-based images, as int64."""
+    def area_numerators(
+        self, images: np.ndarray, work: tuple[np.ndarray, np.ndarray] | None = None
+    ) -> np.ndarray:
+        """area * ``denominator`` for each row of 1-based images, as int64.
+
+        ``work`` is an optional ``workspace`` of exactly as many rows.
+        """
         if not self.fits_int64:
             raise ValueError(f"n={self.n}: grid denominator {self.denominator} overflows int64")
         # with D < 2^62 there are at most two limbs, and the high one shifted
         # is at most the whole numerator
-        sums = self._limb_sums(images)
+        sums = self._limb_sums(images, work)
         return self.offset + (sums << (_LIMB_BITS * np.arange(sums.shape[1]))).sum(axis=1)
+
+    def numerators(self, images: np.ndarray) -> list[int]:
+        """area * ``denominator`` for each row of 1-based images, as Python ints, for any n."""
+        return [
+            self.offset + sum(limb << (_LIMB_BITS * i) for i, limb in enumerate(row))
+            for row in self._limb_sums(images).tolist()
+        ]
 
     def areas(self, images: np.ndarray) -> list[Fraction]:
         """Exact area of each row of 1-based images, for any n."""
-        return [
-            Fraction(self.offset + sum(limb << (_LIMB_BITS * i) for i, limb in enumerate(row)), self.denominator)
-            for row in self._limb_sums(images).tolist()
-        ]
+        return [Fraction(num, self.denominator) for num in self.numerators(images)]
 
 
 @lru_cache(maxsize=16)

@@ -137,6 +137,52 @@ class TestExhaustive:
             best = min((area(TrapezoidSpec(n, p)), p.image) for p in iter_permutations(n, start, stop))
             assert search._range_champion((n, start, stop, False))[:2] == best
 
+    # (start, stop, use_symmetry) -> (area, image, count), from the
+    # per-block kernel that scored at most 256 rows a call; the cuts fall
+    # inside blocks of 720 ranks and span several of them
+    RANGE_PINS = {
+        7: {
+            (0, 5040, True): (F(4, 7), (7, 6, 5, 4, 3, 2, 1), 1388),
+            (359, 1801, True): (F(1067, 1680), (3, 2, 7, 6, 5, 4, 1), 685),
+            (359, 1801, False): (F(1067, 1680), (3, 2, 7, 6, 5, 4, 1), 1442),
+            (733, 2117, True): (F(1067, 1680), (3, 2, 7, 6, 5, 4, 1), 695),
+            (733, 2117, False): (F(1067, 1680), (3, 2, 7, 6, 5, 4, 1), 1384),
+            (4040, 5039, True): (F(143, 245), (7, 6, 4, 5, 3, 2, 1), 65),
+            (4040, 5039, False): (F(143, 245), (7, 6, 4, 5, 3, 2, 1), 999),
+        },
+        8: {
+            (0, 40320, True): (F(9, 16), (8, 7, 6, 5, 4, 3, 2, 1), 10558),
+            (359, 1801, True): (F(1307, 1920), (1, 4, 3, 8, 7, 6, 5, 2), 962),
+            (359, 1801, False): (F(1307, 1920), (1, 4, 3, 8, 7, 6, 5, 2), 1442),
+            (5773, 16229, True): (F(68099, 110880), (3, 8, 7, 6, 5, 4, 2, 1), 5293),
+            (5773, 16229, False): (F(68099, 110880), (3, 8, 7, 6, 5, 4, 2, 1), 10456),
+            (39320, 40319, True): (F(137, 240), (8, 7, 4, 3, 6, 5, 2, 1), 19),
+            (39320, 40319, False): (F(137, 240), (8, 7, 4, 3, 6, 5, 2, 1), 999),
+        },
+        9: {
+            (0, 362880, True): (F(5, 9), (9, 8, 7, 6, 5, 4, 3, 2, 1), 92126),
+            (359, 1801, True): (F(1547, 2160), (1, 2, 5, 4, 9, 8, 7, 6, 3), 1012),
+            (359, 1801, False): (F(1547, 2160), (1, 2, 5, 4, 9, 8, 7, 6, 3), 1442),
+            (51853, 145253, True): (F(4231, 7128), (4, 3, 9, 8, 7, 6, 5, 2, 1), 45317),
+            (51853, 145253, False): (F(4231, 7128), (4, 3, 9, 8, 7, 6, 5, 2, 1), 93400),
+            (361880, 362879, True): (F(319, 567), (9, 8, 7, 5, 6, 4, 3, 2, 1), 6),
+            (361880, 362879, False): (F(67, 120), (9, 8, 7, 4, 3, 6, 5, 2, 1), 999),
+        },
+    }
+
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    @pytest.mark.parametrize("rows", [1, 37, 4096, None])
+    def test_range_champion_independent_of_batch_size(self, n, rows, monkeypatch):
+        # None keeps the default; 1 scores one row a call, 37 cuts blocks
+        # mid-way, 4096 pools several blocks, up to the byte cap
+        if rows is not None:
+            monkeypatch.setattr(search, "_KERNEL_ROWS", rows)
+        for (start, stop, use_symmetry), want in self.RANGE_PINS[n].items():
+            # one row a call costs about 0.2 ms a row: only the short ranges
+            if rows == 1 and want[2] > 2000:
+                continue
+            assert search._range_champion((n, start, stop, use_symmetry)) == want
+
     def test_alpha_9_pinned(self):
         record = alpha_exhaustive(9, workers=2)
         assert record.alpha == F(5, 9)
@@ -180,8 +226,9 @@ class TestBatchEnumeration:
     def test_vector_filter_keeps_class_representatives(self, n):
         perms = list(iter_permutations(n))
         images = np.array([p.image for p in perms])
+        inverse = np.array([p.inverse().image for p in perms])
         kept = [canonical_class(p).image == p.image for p in perms]
-        assert search._canonical_mask(images).tolist() == kept
+        assert search._canonical_mask(images, inverse).tolist() == kept
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_rank_blocks_match_iter_permutations(self, n):
@@ -191,8 +238,34 @@ class TestBatchEnumeration:
         cuts |= {(total // 7, 2 * total // 5 + 1), (max(0, total // 2 - 1), total)}
         for start, stop in cuts:
             blocks = list(search._rank_blocks(n, start, stop))
-            got = [tuple(row) for block in blocks for row in block.tolist()]
+            got = [tuple(row) for block, _ in blocks for row in block.tolist()]
             assert got == [p.image for p in iter_permutations(n, start, stop)]
+            for block, inverse in blocks:
+                assert np.array_equal(inverse, np.argsort(block, axis=1) + 1)
+
+    @pytest.mark.parametrize("rows", [1, 37, 1024, 7000])
+    def test_kept_batches_pool_blocks_in_rank_order(self, rows):
+        # every batch but the last holds exactly ``rows`` kept rows, pooled
+        # across blocks; together they are the kept rows in rank order
+        n, start, stop = 8, 359, 30_001
+        batches = list(search._kept_batches(n, start, stop, True, rows))
+        assert all(len(b) == rows for b in batches[:-1]) and 0 < len(batches[-1]) <= rows
+        kept = [p.image for p in iter_permutations(n, start, stop) if canonical_class(p).image == p.image]
+        assert [tuple(row) for b in batches for row in b.tolist()] == kept
+
+    def test_kernel_calls_capped_by_bytes(self, monkeypatch):
+        # n rows of the grid table per permutation: 1,024 rows up to n = 10,
+        # fewer from n = 11 on, where the endpoints would pass _KERNEL_BYTES
+        sizes = {}
+
+        def record(n, start, stop, use_symmetry, rows):
+            sizes[n] = rows
+            return iter(())
+
+        monkeypatch.setattr(search, "_kept_batches", record)
+        for n in (1, 8, 10, 11, 12, 13):
+            search._range_champion((n, 0, 1, True))
+        assert sizes == {1: 1024, 8: 1024, 10: 1024, 11: 750, 12: 586, 13: 225}
 
 
 class TestHeuristic:
@@ -351,14 +424,31 @@ class TestBatchedHeuristic:
         class CorruptGrid:
             def __init__(self, grid):
                 self.grid = grid
+                self.denominator = grid.denominator
 
-            def areas(self, images):
-                return [value - F(1, 10**6) for value in self.grid.areas(images)]
+            def numerators(self, images):
+                return [value - 1 for value in self.grid.numerators(images)]
 
         real = search.farey_grid
         monkeypatch.setattr(search, "farey_grid", lambda n: CorruptGrid(real(n)))
         with pytest.raises(AssertionError, match="grid kernel"):
             alpha_heuristic(20, budget=80, seed=0)
+
+
+# perms_evaluated of alpha_heuristic(n, 300, seed) for seeds 0..9, from the
+# heuristic that kept every grid score as a Fraction; every run reports the
+# reversal, of area (n + 1) / 2n
+HEURISTIC_PINS = {
+    9: [249, 267, 244, 269, 258, 260, 270, 258, 258, 267],
+    24: [285, 285, 284, 285, 280, 286, 284, 283, 283, 288],
+    34: [284, 284, 282, 290, 283, 286, 285, 289, 289, 288],
+}
+
+
+@pytest.mark.parametrize("n", sorted(HEURISTIC_PINS))
+def test_heuristic_records_pinned(n):
+    for seed, count in enumerate(HEURISTIC_PINS[n]):
+        assert _record(n, 300, seed) == (F(n + 1, 2 * n), reversal(n).image, count)
 
 
 class TestScan:

@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 from fractions import Fraction
@@ -405,7 +406,7 @@ class TestSliceTotals:
                 shifted = keys.copy()
                 shifted[k] += step
                 with pytest.raises(AssertionError, match="off its edge key"):
-                    trapezoid._kinks(n, shifted, jump_c, jump_d)
+                    trapezoid._kinks(n, (shifted, jump_c, jump_d))
 
     def test_kink_with_a_large_denominator_refused(self):
         # 201/400 has the height key floor(y * 4n^2) = 162 of the kink at 1/2
@@ -418,7 +419,7 @@ class TestSliceTotals:
         forged_c[k : k + 2] += (-185, 185)
         forged_d[k : k + 2] += (368, -368)
         with pytest.raises(AssertionError, match="denominator of 2n or more"):
-            trapezoid._kinks(n, keys, forged_c, forged_d)
+            trapezoid._kinks(n, (keys, forged_c, forged_d))
 
     def test_corrupted_end_share_refused(self):
         n = 9
@@ -436,7 +437,7 @@ class TestSliceTotals:
                 forged_c[k : k + 2] += (share_c, -share_c)
                 forged_d[k : k + 2] += (share_d, -share_d)
                 with pytest.raises(AssertionError, match="kink|slope"):
-                    trapezoid._kinks(n, keys, forged_c, forged_d)
+                    trapezoid._kinks(n, (keys, forged_c, forged_d))
         # a share lost at one height leaves the sums unclosed above y = 1;
         # a jump at y = 0 or across y = 1 breaks the slice there
         for column, k in ((jump_c, 1), (jump_d, 1), (jump_c, 0), (jump_c, -1), (jump_d, -1)):
@@ -444,18 +445,18 @@ class TestSliceTotals:
             forged[k] += 1
             forged_c, forged_d = (forged, jump_d) if column is jump_c else (jump_c, forged)
             with pytest.raises(AssertionError, match="not all of"):
-                trapezoid._kinks(n, keys, forged_c, forged_d)
+                trapezoid._kinks(n, (keys, forged_c, forged_d))
 
     def test_jump_without_kink_refused(self):
         # (2, 3, 4, 1) has a run edge at y = 1/2 where the slope stays the same
         n = 4
         keys, jump_c, jump_d = trapezoid._edge_jumps(n, displacements(spec_of((2, 3, 4, 1))))
         assert keys.tolist() == [0, 16, 32, 48, 64] and jump_c[2] == jump_d[2] == 0
-        assert trapezoid._kinks(n, keys, jump_c, jump_d)[0].tolist() == [1, 3]
+        assert trapezoid._kinks(n, (keys, jump_c, jump_d))[0].tolist() == [1, 3]
         forged = jump_c.copy()
         forged[1:3] += (-1, 1)
         with pytest.raises(AssertionError, match="slope does not change"):
-            trapezoid._kinks(n, keys, forged, jump_d)
+            trapezoid._kinks(n, (keys, forged, jump_d))
 
     def test_int64_bound_covers_every_area_size(self):
         # the largest int64 of the sweep, from the packed key widths: far
@@ -502,7 +503,7 @@ def random_involution(rng, n):
 
 def full_sweep(spec):
     """``_kinks`` of the full edge sweep, which every non-involution takes."""
-    return trapezoid._kinks(spec.n, *trapezoid._edge_jumps(spec.n, displacements(spec)))
+    return trapezoid._kinks(spec.n, trapezoid._edge_jumps(spec.n, displacements(spec)))
 
 
 def involution_corpus():
@@ -574,7 +575,7 @@ class TestMirroredTotals:
         n = 9
         keys, jump_c, jump_d = trapezoid._edge_jumps(n, displacements(TrapezoidSpec(n, digit_swap_permutation(2))))
         with pytest.raises(AssertionError, match=r"outside \(0, 1/2\)"):
-            trapezoid._kinks(n, keys[:-1], jump_c[:-1], jump_d[:-1], True)
+            trapezoid._kinks(n, (keys[:-1], jump_c[:-1], jump_d[:-1]), True)
 
     def test_half_keys_stay_below_one_half(self):
         n = 27
@@ -795,15 +796,43 @@ class TestFareyGrid:
             images.append(tuple(image))
         assert farey_grid(n).areas(np.array(images)) == grid_areas(n, images)
 
-    @pytest.mark.parametrize("n", [1, 2, 6])
+    @pytest.mark.parametrize("n", [1, 2, 6, 12, 13])
     def test_table_rows_by_strip_and_image_value(self, n):
         grid = farey_grid(n)
-        assert grid.table.dtype == np.int16 and grid.table.shape == (n * n, len(grid.weights))
+        # endpoints reach 2 (n - 1)^2: below 256 up to n = 12
+        dtype = np.uint8 if n <= 12 else np.int16
+        assert grid.table.dtype == grid.q.dtype == dtype
+        assert grid.table.shape == (n * n, len(grid.weights))
         heights = sorted({F(p, q) for q in range(2, 2 * n - 1) for p in range(1, q)})
         for j0 in range(n):
             for v in range(1, n + 1):
                 want = [j0 * y.denominator + (v - 1 - j0) * y.numerator for y in heights]
                 assert grid.table[j0 * n + v - 1].tolist() == want
+
+    def test_byte_table_equals_int16_table_at_its_limit(self):
+        # n = 12 is the largest byte table: endpoints and capped-gap sums up
+        # to 2 * 11^2 = 242; the same kernel on an int16 copy cannot wrap
+        n = 12
+        grid = FareyGrid(n)
+        wide = copy.copy(grid)
+        wide.table, wide.q = grid.table.astype(np.int16), grid.q.astype(np.int16)
+        assert grid.table.dtype == np.uint8 and int(grid.table.max()) == 2 * (n - 1) ** 2
+        rng = np.random.default_rng(12)
+        images = np.argsort(rng.random((500, n)), axis=1) + 1
+        images = np.vstack([images, [reversal(n).image, identity(n).image, composite_permutation(n).image]])
+        assert np.array_equal(grid.area_numerators(images), wide.area_numerators(images))
+        assert grid.areas(images[-3:]) == [area.__wrapped__(spec_of(img)) for img in images[-3:].tolist()]
+        assert FareyGrid(n + 1).table.dtype == np.int16
+
+    @pytest.mark.parametrize("n", [2, 8, 12, 13])
+    def test_workspace_gives_the_same_numerators(self, n):
+        # the buffers are reused: each call must overwrite all of them
+        grid = farey_grid(n)
+        work = grid.workspace(40)
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            images = np.argsort(rng.random((40, n)), axis=1) + 1
+            assert np.array_equal(grid.area_numerators(images, work), grid.area_numerators(images))
 
     def test_limits_refused(self):
         with pytest.raises(ValueError):
