@@ -4,13 +4,13 @@ The exact path enumerates all n! pairings (optionally one representative
 per four-element symmetry class) as blocks of images unranked in numpy,
 with their inverses from a fixed table, drops the non-representatives of
 each block with a vector form of ``canonical_class``, and scores the
-rest, pooled over consecutive blocks into batches of ``_KERNEL_ROWS``
-(fewer where they would pass ``_KERNEL_BYTES``), with the exact integer
-kernel of ``trapezoid.FareyGrid``; each range's winner is checked
-against the exact sweep.  With several workers it cuts the lexicographic
-rank space into many small contiguous ranges, about 32 per worker, that
-a process pool hands out as workers free up; the reduction runs in rank
-order, so results are identical for any worker count.  Searches of fewer than
+rest, pooled over consecutive blocks into batches of ``_KERNEL_ROWS``,
+with the exact integer kernel of ``trapezoid.FareyGrid``; each range's
+winner is checked against the exact sweep.  With several workers it
+cuts the lexicographic rank space into many small contiguous ranges,
+about 32 per worker, that a process pool hands out as workers free up;
+the reduction runs in rank order, so results are identical for any
+worker count.  Searches of fewer than
 ``POOL_MIN_RANKS`` ranks (n <= 8) take less time than starting the pool
 and run in this process.  Exactness bounds n to 15:
 beyond it the base-(n+1) row codes of the filter overflow int64.  The
@@ -117,12 +117,6 @@ _TAIL = 6
 # are pooled and cut into calls of this many, which amortizes numpy's
 # per-call cost (a block keeps about 190 rows at n = 8)
 _KERNEL_ROWS = 1024
-# but fewer where their endpoints, n rows of the grid table each, would pass
-# this many bytes, about where the network's passes leave the core's share of
-# L2: from n = 11 on (at n = 13, int16 at 4.6 kB a row, 1,024-row calls ran
-# 12% slower than 225-row ones; at n = 11, 1,501-row calls 70% slower than
-# 1,024-row ones)
-_KERNEL_BYTES = 1 << 20
 
 
 @lru_cache(maxsize=None)
@@ -209,14 +203,12 @@ def _range_champion(
     """
     n, start, stop, use_symmetry = args
     grid = farey_grid(n)
-    batch = max(1, min(_KERNEL_ROWS, _KERNEL_BYTES // max(1, n * grid.table[0].nbytes)))
     best_num: int | None = None
     best_image: tuple[int, ...] | None = None
     evaluated = 0
-    work = grid.workspace(batch)
-    for rows in _kept_batches(n, start, stop, use_symmetry, batch):
+    for rows in _kept_batches(n, start, stop, use_symmetry, _KERNEL_ROWS):
         evaluated += len(rows)
-        nums = grid.area_numerators(rows, work if len(rows) == batch else None)
+        nums = grid.area_numerators(rows)
         # rows are in rank order, so the first minimum is the least image
         i = int(nums.argmin())
         if best_num is None or nums[i] < best_num:

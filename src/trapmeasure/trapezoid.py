@@ -504,6 +504,23 @@ def _sorting_network(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+_scratch_buffer = np.empty(0, dtype=np.uint8)
+
+
+def _scratch(size: int) -> np.ndarray:
+    """The first ``size`` bytes of one process-wide buffer that only grows.
+
+    ``FareyGrid`` calls reuse it, whatever their n: past a few hundred kB,
+    buffers allocated per call go back to the system in between and every
+    call faults them in again, and one buffer per cached grid would keep
+    each grid's largest call resident.
+    """
+    global _scratch_buffer
+    if len(_scratch_buffer) < size:
+        _scratch_buffer = np.empty(size, dtype=np.uint8)
+    return _scratch_buffer[:size]
+
+
 # bits per limb of the grid weights: a limb below 2^31 times a capped-gap
 # sum below 2^15 (the int16 bound) over fewer than 2^17 heights stays in int64
 _LIMB_BITS = 31
@@ -525,10 +542,11 @@ class FareyGrid:
     D passes 2^62 at n = 22 (it is about 2^69 at n = 24), so the weights
     are kept as 31-bit int64 ``limbs``: each limb's dot product with the
     gaps is exact in int64, and ``numerators`` recombines the limbs into
-    Python-int numerators over D for any n the table allows (``areas``
-    wraps each in a ``Fraction``).  ``area_numerators`` keeps the plain
-    int64 result for exhaustive search; it, not the constructor, refuses a
-    D of 2^62 or more (``fits_int64``).
+    Python-int numerators over D for any n the table allows.
+    ``area_numerators`` keeps the plain int64 result for exhaustive
+    search; it, not the constructor, refuses a D of 2^62 or more
+    (``fits_int64``).  Both work in one process-wide scratch buffer
+    (``_scratch``), so no two kernel calls may run in threads at once.
 
     Row j0 * n + v - 1 of ``table`` holds the endpoints
     j0*q + (v - 1 - j0)*p = j0*(q - p) + (v - 1)*p of strip j0 with image
@@ -575,30 +593,19 @@ class FareyGrid:
             np.add(value_p, j0 * (self.q - p), out=self.table[j0 * n : (j0 + 1) * n])
         self.network = _sorting_network(n)
 
-    def workspace(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """Buffers for the two large temporaries of kernel calls on ``rows`` rows.
-
-        A caller that scores many batches of one size passes them to
-        ``area_numerators``, so the endpoints and the int64 copy of the gaps
-        are not allocated and freed on every call: past a few hundred kB
-        each, the allocator returns them to the system between calls and
-        every call pays the page faults again.
-        """
-        size = len(self.weights)
-        return np.empty((self.n, rows, size), dtype=self.table.dtype), np.empty((rows, size), dtype=np.int64)
-
-    def _limb_sums(self, images: np.ndarray, work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    def _limb_sums(self, images: np.ndarray) -> np.ndarray:
         """Each limb's dot product with the capped gaps, per row of 1-based images."""
-        n = self.n
-        index = images.T + (np.arange(n) * n - 1)[:, None]
-        # np.take copies whole table rows, 2-3x faster than fancy indexing here;
-        # into a buffer it needs a mode other than "raise" to skip a temporary,
-        # and the indices of a permutation's images are all in range
-        if work is None:
-            ends, wide = np.take(self.table, index, axis=0), None
-        else:
-            ends, wide = work
-            np.take(self.table, index, axis=0, out=ends, mode="clip")
+        n, size = self.n, len(self.weights)
+        cells = len(images) * size
+        width = n * self.table.itemsize
+        # the scratch bytes hold the endpoints and, once they are summed into
+        # the gaps, the int64 copy of the gaps
+        scratch = _scratch(cells * max(width, 8))
+        ends = scratch[: cells * width].view(self.table.dtype).reshape(n, len(images), size)
+        # np.take copies whole table rows, 2-3x faster than fancy indexing
+        # here; into a buffer it needs a mode other than "raise" to skip a
+        # temporary, and the indices of a permutation's images are in range
+        np.take(self.table, images.T + (np.arange(n) * n - 1)[:, None], axis=0, out=ends, mode="clip")
         rows = list(ends)
         # one contiguous ufunc call per comparator: 4-7x faster at n = 8..13
         # than np.sort on the last axis of a (B, K, n) copy
@@ -612,8 +619,7 @@ class FareyGrid:
             np.subtract(hi, lo, out=spare)
             np.minimum(spare, self.q, out=spare)
             gaps += spare
-        if wide is None:
-            return gaps @ self.limbs
+        wide = scratch[: cells * 8].view(np.int64).reshape(len(images), size)
         np.copyto(wide, gaps)
         return wide @ self.limbs
 
@@ -622,18 +628,13 @@ class FareyGrid:
         """Whether ``area_numerators`` can return int64 numerators (D < 2^62)."""
         return self.denominator < 2**62
 
-    def area_numerators(
-        self, images: np.ndarray, work: tuple[np.ndarray, np.ndarray] | None = None
-    ) -> np.ndarray:
-        """area * ``denominator`` for each row of 1-based images, as int64.
-
-        ``work`` is an optional ``workspace`` of exactly as many rows.
-        """
+    def area_numerators(self, images: np.ndarray) -> np.ndarray:
+        """area * ``denominator`` for each row of 1-based images, as int64."""
         if not self.fits_int64:
             raise ValueError(f"n={self.n}: grid denominator {self.denominator} overflows int64")
         # with D < 2^62 there are at most two limbs, and the high one shifted
         # is at most the whole numerator
-        sums = self._limb_sums(images, work)
+        sums = self._limb_sums(images)
         return self.offset + (sums << (_LIMB_BITS * np.arange(sums.shape[1]))).sum(axis=1)
 
     def numerators(self, images: np.ndarray) -> list[int]:
@@ -642,10 +643,6 @@ class FareyGrid:
             self.offset + sum(limb << (_LIMB_BITS * i) for i, limb in enumerate(row))
             for row in self._limb_sums(images).tolist()
         ]
-
-    def areas(self, images: np.ndarray) -> list[Fraction]:
-        """Exact area of each row of 1-based images, for any n."""
-        return [Fraction(num, self.denominator) for num in self.numerators(images)]
 
 
 @lru_cache(maxsize=16)

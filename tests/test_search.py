@@ -174,7 +174,7 @@ class TestExhaustive:
     @pytest.mark.parametrize("rows", [1, 37, 4096, None])
     def test_range_champion_independent_of_batch_size(self, n, rows, monkeypatch):
         # None keeps the default; 1 scores one row a call, 37 cuts blocks
-        # mid-way, 4096 pools several blocks, up to the byte cap
+        # mid-way, 4096 pools several blocks
         if rows is not None:
             monkeypatch.setattr(search, "_KERNEL_ROWS", rows)
         for (start, stop, use_symmetry), want in self.RANGE_PINS[n].items():
@@ -252,20 +252,6 @@ class TestBatchEnumeration:
         assert all(len(b) == rows for b in batches[:-1]) and 0 < len(batches[-1]) <= rows
         kept = [p.image for p in iter_permutations(n, start, stop) if canonical_class(p).image == p.image]
         assert [tuple(row) for b in batches for row in b.tolist()] == kept
-
-    def test_kernel_calls_capped_by_bytes(self, monkeypatch):
-        # n rows of the grid table per permutation: 1,024 rows up to n = 10,
-        # fewer from n = 11 on, where the endpoints would pass _KERNEL_BYTES
-        sizes = {}
-
-        def record(n, start, stop, use_symmetry, rows):
-            sizes[n] = rows
-            return iter(())
-
-        monkeypatch.setattr(search, "_kept_batches", record)
-        for n in (1, 8, 10, 11, 12, 13):
-            search._range_champion((n, 0, 1, True))
-        assert sizes == {1: 1024, 8: 1024, 10: 1024, 11: 750, 12: 586, 13: 225}
 
 
 class TestHeuristic:
