@@ -23,7 +23,6 @@ from .permutations import (
     reversal,
 )
 from .trapezoid import (
-    Parallelogram,
     TrapezoidSpec,
     area,
     area_oracle,

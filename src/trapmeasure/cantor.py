@@ -8,8 +8,9 @@ partial modified Cantor set, and {0, 1+t, 2-t} gives the horizontal slice
 of the depth-n digit-swap trapezoid at height t.  ``partial_cantor``
 builds each stage level by level, in exact integers, as the union of the
 previous stage's merged parts shifted by each digit and scaled by 1/3, so
-it never enumerates the 3^n sums.  Every union is integers over one
-scale; Fractions are built only when read, so a measure costs one.
+it never enumerates the 3^n sums.  Depth is capped at ``DEPTH_CAP``.
+Every union is integers over one scale; Fractions are built only when
+read, so a measure costs one.
 
 The limit measures have closed forms driven by a mod-3 condition on the
 lowest-terms representation of the parameter; those are implemented as
@@ -42,7 +43,6 @@ class DigitSetSpec:
 
     depth: int
     digits: tuple[Rational, Rational, Rational]
-    cap: int = DEPTH_CAP
 
     def __post_init__(self) -> None:
         digits = tuple(as_rational(d) for d in self.digits)
@@ -51,8 +51,8 @@ class DigitSetSpec:
             raise ValueError("exactly three digits required")
         if self.depth < 0:
             raise ValueError(f"negative depth {self.depth}")
-        if self.depth > self.cap:
-            raise ValueError(f"depth {self.depth} exceeds cap {self.cap} (3^n anchors)")
+        if self.depth > DEPTH_CAP:
+            raise ValueError(f"depth {self.depth} exceeds cap {DEPTH_CAP} (3^n anchors)")
         for d in digits:
             if not 0 <= d <= 2:
                 raise ValueError(f"digit {d} outside [0, 2]")
@@ -93,7 +93,7 @@ def partial_cantor(spec: DigitSetSpec) -> IntervalUnion:
     return IntervalUnion(los, his, q * 3**spec.depth)
 
 
-def slice_set(depth: int, t: RationalLike, cap: int = DEPTH_CAP) -> IntervalUnion:
+def slice_set(depth: int, t: RationalLike) -> IntervalUnion:
     """Depth-n slice of the digit-swap trapezoid at height t, in digit form.
 
     Digit triple {0, 1+t, 2-t}: the bottom-interval digit contributes
@@ -102,7 +102,7 @@ def slice_set(depth: int, t: RationalLike, cap: int = DEPTH_CAP) -> IntervalUnio
     t = as_rational(t)
     if not 0 <= t <= 1:
         raise ValueError(f"slice height {t} outside [0, 1]")
-    return partial_cantor(DigitSetSpec(depth, (Fraction(0), 1 + t, 2 - t), cap=cap))
+    return partial_cantor(DigitSetSpec(depth, (Fraction(0), 1 + t, 2 - t)))
 
 
 def cantor_measure_closed(t: RationalLike) -> Rational:

@@ -434,9 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("alpha", help="minimum area over permutations")
     p.add_argument("--n", type=int, required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exhaustive", action="store_true", default=True)
-    mode.add_argument("--heuristic", action="store_true")
+    p.add_argument("--heuristic", action="store_true")
     p.add_argument("--budget", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=None)

@@ -2,18 +2,20 @@
 integration of piecewise-linear profiles.
 
 Everything in this module is pure and immutable, and every number is an
-exact rational.  Every union is integers over one scale, and every
-piecewise-linear profile is integer numerator and denominator columns;
-Fractions are built only when read (``parts``, ``breakpoints``) or for
-the one final value (``measure``, ``integrate_plp``).  No floating point
-enters any computation here; callers that want decimals convert at the
-boundary.
+exact rational.  Every union is integers over one scale, built from its
+columns or from :class:`Interval` s by ``normalize``, and every
+piecewise-linear profile is built from its integer numerator and
+denominator columns; Fractions are built only when read (``parts``,
+``breakpoints``) or for the one final value (``measure``,
+``integrate_plp``).  No floating point enters any computation here;
+callers that want decimals convert at the boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import le, lt, mul
 from typing import Iterable, Union
@@ -59,42 +61,26 @@ class Interval:
         return f"[{self.lo}, {self.hi}]"
 
 
-def _common_scale(parts: tuple[Interval, ...]) -> tuple[list[int], list[int], int]:
-    """Endpoint columns of the parts as integers over their least common denominator."""
-    scale = lcm(*(x.denominator for p in parts for x in (p.lo, p.hi)))
-    return (
-        [p.lo.numerator * (scale // p.lo.denominator) for p in parts],
-        [p.hi.numerator * (scale // p.hi.denominator) for p in parts],
-        scale,
-    )
-
-
+@dataclass(frozen=True, eq=False)
 class IntervalUnion:
     """Canonical union of closed intervals: sorted, with strict gaps.
 
-    Built either from a tuple of :class:`Interval` parts or from two
-    integer columns and a scale, ``(lo, hi, scale)``, with part k the
-    interval [lo[k]/scale, hi[k]/scale].  Both forms store the columns
-    over one common scale and run the same checks: lo <= hi in every
+    Two integer columns and a scale, ``(lo, hi, scale)``: part k is the
+    interval [lo[k]/scale, hi[k]/scale].  The checks: lo <= hi in every
     part, each part strictly left of the next (touching parts must be
-    merged first, e.g. by :func:`normalize`), a positive scale, integers
-    only.  ``parts`` is the tuple of reduced Fraction intervals, built on
-    first read; ``measure`` never builds it.  Equality, hashing, pickling
-    and ``repr`` depend on the point set alone, never on the scale.
+    merged first; :func:`normalize` builds a union from any collection of
+    :class:`Interval` s), a positive scale, integers only.  ``parts`` is
+    the tuple of reduced Fraction intervals, built on first read;
+    ``measure`` never builds it.  Equality, hashing and ``repr`` depend on
+    the point set alone, never on the scale.
     """
 
-    __slots__ = ("lo", "hi", "scale", "_parts")
+    lo: tuple[int, ...]
+    hi: tuple[int, ...]
+    scale: int
 
-    def __init__(self, parts: Iterable[Interval] = (), *columns) -> None:
-        # IntervalUnion(lo, hi, scale) passes the lo column as ``parts``
-        if not columns:
-            parts = tuple(parts)
-            lo, hi, scale = _common_scale(parts)
-        elif len(columns) == 2:
-            lo, (hi, scale), parts = parts, columns, None
-        else:
-            raise TypeError("expected a tuple of Intervals or (lo, hi, scale) integer columns")
-        lo, hi = tuple(lo), tuple(hi)
+    def __post_init__(self) -> None:
+        lo, hi, scale = self.lo, self.hi, self.scale
         # as for profiles: a column's sum is an int only if every entry is
         if type(scale) is not int or type(sum(lo)) is not int or type(sum(hi)) is not int:
             raise TypeError("union columns and scale must be Python ints")
@@ -111,25 +97,11 @@ class IntervalUnion:
                 f"parts not canonical: part {k} ends at {Fraction(hi[k], scale)}, "
                 f"part {k + 1} starts at {Fraction(lo[k + 1], scale)}; use normalize()"
             )
-        for name, value in zip(self.__slots__, (lo, hi, scale, parts)):
-            object.__setattr__(self, name, value)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        # pickle and copy rebuild through __init__, which __setattr__ allows
-        return type(self), (self.lo, self.hi, self.scale)
-
-    @property
+    @cached_property
     def parts(self) -> tuple[Interval, ...]:
-        if self._parts is None:
-            scale = self.scale
-            parts = tuple(
-                Interval(Fraction(a, scale), Fraction(b, scale)) for a, b in zip(self.lo, self.hi)
-            )
-            object.__setattr__(self, "_parts", parts)
-        return self._parts
+        scale = self.scale
+        return tuple(Interval(Fraction(a, scale), Fraction(b, scale)) for a, b in zip(self.lo, self.hi))
 
     @property
     def measure(self) -> Rational:
@@ -158,7 +130,7 @@ class IntervalUnion:
         return "{" + ", ".join(repr(p) for p in self.parts) + "}"
 
 
-def merge_ints(pairs: Iterable[tuple[int, int]]) -> tuple[list[int], list[int]]:
+def merge_ints(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Lo and hi columns of the union of integer intervals [lo, hi].
 
     Sorts the pairs and merges everything that overlaps or touches, so the
@@ -173,7 +145,7 @@ def merge_ints(pairs: Iterable[tuple[int, int]]) -> tuple[list[int], list[int]]:
         else:
             los.append(lo)
             his.append(hi)
-    return los, his
+    return tuple(los), tuple(his)
 
 
 def normalize(parts: Iterable[Interval]) -> IntervalUnion:
@@ -183,8 +155,13 @@ def normalize(parts: Iterable[Interval]) -> IntervalUnion:
     then sorts and merges with :func:`merge_ints`; the result's measure
     equals the measure of the set-theoretic union.
     """
-    lo, hi, scale = _common_scale(tuple(parts))
-    return IntervalUnion(*merge_ints(zip(lo, hi)), scale)
+    parts = tuple(parts)
+    scale = lcm(*(x.denominator for p in parts for x in (p.lo, p.hi)))
+    lo, hi = merge_ints(
+        (p.lo.numerator * (scale // p.lo.denominator), p.hi.numerator * (scale // p.hi.denominator))
+        for p in parts
+    )
+    return IntervalUnion(lo, hi, scale)
 
 
 def measure(union: IntervalUnion) -> Rational:
@@ -192,35 +169,26 @@ def measure(union: IntervalUnion) -> Rational:
     return union.measure
 
 
+@dataclass(frozen=True, eq=False)
 class PiecewiseLinearProfile:
     """Continuous piecewise-linear function on [0, 1], given by breakpoints.
 
-    Built either from a sequence of (y, value) pairs of exact rationals,
-    or from four integer columns ``(y_num, y_den, v_num, v_den)`` with
-    breakpoint k at (y_num[k]/y_den[k], v_num[k]/v_den[k]), fractions not
-    necessarily reduced.  Both forms store the columns and run the same
-    checks: at least two breakpoints, y strictly increasing from exactly 0
-    to exactly 1, positive denominators, integers only.  ``breakpoints``
-    is the tuple of reduced Fraction pairs, built on first read.  Storing
-    values (not slopes) makes continuity structural and keeps the
-    trapezoid rule exact.
+    Four integer columns ``(y_num, y_den, v_num, v_den)``: breakpoint k is
+    (y_num[k]/y_den[k], v_num[k]/v_den[k]), fractions not necessarily
+    reduced.  The checks: at least two breakpoints, y strictly increasing
+    from exactly 0 to exactly 1, positive denominators, integers only.
+    ``breakpoints`` is the tuple of reduced Fraction pairs, built on first
+    read.  Storing values (not slopes) makes continuity structural and
+    keeps the trapezoid rule exact.
     """
 
-    __slots__ = ("y_num", "y_den", "v_num", "v_den", "_breakpoints")
+    y_num: tuple[int, ...]
+    y_den: tuple[int, ...]
+    v_num: tuple[int, ...]
+    v_den: tuple[int, ...]
 
-    def __init__(self, *columns) -> None:
-        pts = None
-        if len(columns) == 1:
-            pts = tuple((as_rational(y), as_rational(v)) for y, v in columns[0])
-            columns = (
-                tuple(y.numerator for y, _ in pts),
-                tuple(y.denominator for y, _ in pts),
-                tuple(v.numerator for _, v in pts),
-                tuple(v.denominator for _, v in pts),
-            )
-        elif len(columns) != 4:
-            raise TypeError("expected (y, value) pairs or four integer columns")
-        y_num, y_den, v_num, v_den = columns = tuple(map(tuple, columns))
+    def __post_init__(self) -> None:
+        y_num, y_den, v_num, v_den = columns = (self.y_num, self.y_den, self.v_num, self.v_den)
         # a float, a Fraction or a numpy scalar anywhere makes a column's
         # sum non-int, so this one C-level pass per column refuses them all
         for col in columns:
@@ -241,25 +209,13 @@ class PiecewiseLinearProfile:
                 if a * d >= c * b
             )
             raise ValueError(f"breakpoint ordinates must strictly increase: {y0} >= {y1}")
-        for name, value in zip(self.__slots__, (*columns, pts)):
-            object.__setattr__(self, name, value)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        # pickle and copy rebuild through __init__, which __setattr__ allows
-        return type(self), (self.y_num, self.y_den, self.v_num, self.v_den)
-
-    @property
+    @cached_property
     def breakpoints(self) -> tuple[tuple[Rational, Rational], ...]:
-        if self._breakpoints is None:
-            pts = tuple(
-                (Fraction(p, q), Fraction(a, b))
-                for p, q, a, b in zip(self.y_num, self.y_den, self.v_num, self.v_den)
-            )
-            object.__setattr__(self, "_breakpoints", pts)
-        return self._breakpoints
+        return tuple(
+            (Fraction(p, q), Fraction(a, b))
+            for p, q, a, b in zip(self.y_num, self.y_den, self.v_num, self.v_den)
+        )
 
     def __eq__(self, other: object) -> bool:
         # type(self): the benchmark's traced runs rebind the module-level name

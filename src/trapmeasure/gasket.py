@@ -23,8 +23,9 @@ every part length exactly into three columns, multiples of 2^-20, 2^-45
 and 2^-72, whose numpy sums are exact in any order, so the ``math.fsum``
 of the three column sums is the correctly rounded total, the same double
 ``project`` reports.  The split is exact only for fewer than 2^13 lengths
-in [2^-20, 2), which holds up to ``GASKET_DEPTH_CAP``; anything outside
-that range raises.  The exact mode exists to anchor the numeric one.
+in [2^-20, 2), which holds up to ``GASKET_DEPTH_CAP``, a constant that
+``GasketSpec`` enforces; anything outside that range raises.  The exact
+mode exists to anchor the numeric one.
 """
 
 from __future__ import annotations
@@ -50,13 +51,12 @@ class GasketSpec:
     """Construction depth; 3^depth triangles of side 3^-depth."""
 
     depth: int
-    cap: int = GASKET_DEPTH_CAP
 
     def __post_init__(self) -> None:
         if self.depth < 0:
             raise ValueError(f"negative depth {self.depth}")
-        if self.depth > self.cap:
-            raise ValueError(f"depth {self.depth} exceeds cap {self.cap}")
+        if self.depth > GASKET_DEPTH_CAP:
+            raise ValueError(f"depth {self.depth} exceeds cap {GASKET_DEPTH_CAP}")
 
 
 @dataclass(frozen=True)
@@ -239,9 +239,8 @@ def favard(spec: GasketSpec, quad_points: int) -> float:
     Uniform midpoint grid over [0, pi); the gasket's symmetry under
     swapping coordinates pairs midpoints theta and pi/2 - theta (mod pi),
     halving the evaluations for even grids.  Summation order is fixed by
-    grid index, so the result is deterministic.  Past the default depth
-    cap a direction can have 2^13 parts or more, beyond the exact sum,
-    and the call raises ``ValueError``.
+    grid index, so the result is deterministic.  The depth cap keeps
+    every direction below the exact sum's 2^13 parts.
     """
     if quad_points < 16:
         raise ValueError(f"need at least 16 quadrature points, got {quad_points}")
@@ -274,9 +273,7 @@ class SliceBoundRow:
     ok: bool
 
 
-def lemma1_check(
-    depth: int, t_grid: Sequence[RationalLike], tolerance: float = 1e-9
-) -> list[SliceBoundRow]:
+def lemma1_check(depth: int, t_grid: Sequence[RationalLike]) -> list[SliceBoundRow]:
     """Compare exact slice measures against the projection bound.
 
     For each t the left side is the exact measure of the depth-n slice
@@ -304,7 +301,7 @@ def lemma1_check(
                 lhs=lhs,
                 rhs=rhs,
                 ratio=ratio,
-                ok=float(lhs) <= rhs + tolerance,
+                ok=float(lhs) <= rhs + 1e-9,
             )
         )
     return rows

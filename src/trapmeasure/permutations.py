@@ -4,11 +4,12 @@ Images are 1-based throughout (image[j-1] = sigma(j) for j in 1..n), which
 matches the bottom/top interval indexing of the geometry.  Besides the
 named families (identity, reversal, the base-3 digit-swap permutation and
 its block-composite extension to arbitrary n), the module provides
-lexicographic enumeration with rank splitting for parallel search.
+unranking and lexicographic enumeration of rank ranges.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -162,41 +163,18 @@ def permutation_at_rank(n: int, rank: int) -> Permutation:
     return Permutation(tuple(image))
 
 
-def _advance(image: list[int]) -> bool:
-    """In-place step to the lexicographic successor; False at the last one."""
-    n = len(image)
-    i = n - 2
-    while i >= 0 and image[i] >= image[i + 1]:
-        i -= 1
-    if i < 0:
-        return False
-    j = n - 1
-    while image[j] <= image[i]:
-        j -= 1
-    image[i], image[j] = image[j], image[i]
-    image[i + 1 :] = reversed(image[i + 1 :])
-    return True
-
-
 def iter_permutations(n: int, start: int = 0, stop: int | None = None) -> Iterator[Permutation]:
     """All permutations of {1..n} in lexicographic image order.
 
     ``start``/``stop`` select a contiguous range of zero-based lex ranks,
-    which is how exhaustive search splits work between workers.
+    clipped to [0, n!); an empty or negative range yields nothing.
     """
     _require_positive(n)
     total = math.factorial(n)
-    if stop is None:
-        stop = total
-    start = max(0, start)
-    stop = min(stop, total)
-    if start >= stop:
-        return
-    image = list(permutation_at_rank(n, start).image)
-    for _ in range(stop - start):
-        yield Permutation(tuple(image))
-        if not _advance(image):
-            break
+    start = min(max(0, start), total)
+    stop = None if stop is None or stop >= total else max(start, stop)
+    for image in itertools.islice(itertools.permutations(range(1, n + 1)), start, stop):
+        yield Permutation(image)
 
 
 def canonical_class(perm: Permutation) -> Permutation:

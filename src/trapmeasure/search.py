@@ -236,12 +236,11 @@ def alpha_exhaustive(
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    # exactness limits, checked before any work and not lifted by force;
-    # capping the exponent keeps the check cheap and changes no answer
+    # the exactness limit, checked before any work and not lifted by force;
+    # capping the exponent keeps the check cheap and changes no answer.  It
+    # also keeps the grid's int64 numerators: D < 2^62 holds up to n = 21.
     if (n + 1) ** min(n, 63) >= 2**63:
         raise ValueError(f"n={n}: base-{n + 1} permutation codes overflow int64")
-    if not farey_grid(n).fits_int64:
-        raise ValueError(f"n={n}: grid denominator overflows int64")
     if n > EXHAUSTIVE_GUARD and not force:
         raise ValueError(
             f"n={n} means {n}! exact sweeps; pass force=True if you really want this"

@@ -55,7 +55,6 @@ from math import lcm
 import numpy as np
 
 from .exact import (
-    Interval,
     IntervalUnion,
     PiecewiseLinearProfile,
     Rational,
@@ -64,6 +63,7 @@ from .exact import (
     merge_ints,
 )
 from .permutations import Permutation, composite_plan, composite_permutation, digit_swap_permutation
+
 
 @dataclass(frozen=True)
 class TrapezoidSpec:
@@ -77,36 +77,6 @@ class TrapezoidSpec:
             raise ValueError(f"n must be positive, got {self.n}")
         if len(self.sigma) != self.n:
             raise ValueError(f"permutation length {len(self.sigma)} != n {self.n}")
-
-    def parallelograms(self) -> tuple["Parallelogram", ...]:
-        return tuple(
-            Parallelogram(j=j, k=self.sigma(j), n=self.n) for j in range(1, self.n + 1)
-        )
-
-
-@dataclass(frozen=True)
-class Parallelogram:
-    """Strip joining bottom subinterval j to top subinterval k, out of n.
-
-    Every horizontal slice is an interval of width exactly 1/n whose left
-    endpoint moves linearly from (j-1)/n at the bottom to (k-1)/n at the
-    top.
-    """
-
-    j: int
-    k: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if not (1 <= self.j <= self.n and 1 <= self.k <= self.n):
-            raise ValueError(f"indices ({self.j}, {self.k}) outside 1..{self.n}")
-
-    def slice_at(self, y: RationalLike) -> Interval:
-        y = as_rational(y)
-        if not 0 <= y <= 1:
-            raise ValueError(f"slice height {y} outside [0, 1]")
-        lo = (self.j - 1 + (self.k - self.j) * y) / Fraction(self.n)
-        return Interval(lo, lo + Fraction(1, self.n))
 
 
 def _displacements(spec: TrapezoidSpec) -> list[int]:
@@ -544,9 +514,9 @@ class FareyGrid:
     gaps is exact in int64, and ``numerators`` recombines the limbs into
     Python-int numerators over D for any n the table allows.
     ``area_numerators`` keeps the plain int64 result for exhaustive
-    search; it, not the constructor, refuses a D of 2^62 or more
-    (``fits_int64``).  Both work in one process-wide scratch buffer
-    (``_scratch``), so no two kernel calls may run in threads at once.
+    search; it, not the constructor, refuses a D of 2^62 or more.  Both
+    work in one process-wide scratch buffer (``_scratch``), so no two
+    kernel calls may run in threads at once.
 
     Row j0 * n + v - 1 of ``table`` holds the endpoints
     j0*q + (v - 1 - j0)*p = j0*(q - p) + (v - 1)*p of strip j0 with image
@@ -623,14 +593,9 @@ class FareyGrid:
         np.copyto(wide, gaps)
         return wide @ self.limbs
 
-    @property
-    def fits_int64(self) -> bool:
-        """Whether ``area_numerators`` can return int64 numerators (D < 2^62)."""
-        return self.denominator < 2**62
-
     def area_numerators(self, images: np.ndarray) -> np.ndarray:
         """area * ``denominator`` for each row of 1-based images, as int64."""
-        if not self.fits_int64:
+        if self.denominator >= 2**62:
             raise ValueError(f"n={self.n}: grid denominator {self.denominator} overflows int64")
         # with D < 2^62 there are at most two limbs, and the high one shifted
         # is at most the whole numerator

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trapmeasure.cantor import (
+    DEPTH_CAP,
     BoundaryImageWarning,
     DigitSetSpec,
     anchor_points,
@@ -32,8 +33,12 @@ class TestDigitSetSpec:
             DigitSetSpec(1, (F(-1, 2), F(1), F(2)))
 
     def test_cap_can_be_raised_explicitly(self):
-        spec = DigitSetSpec(13, (F(0), F(1), F(2)), cap=13)
-        assert spec.depth == 13
+        # the cap is the constant DEPTH_CAP: no spec can raise it
+        assert DigitSetSpec(DEPTH_CAP, (F(0), F(1), F(2))).depth == 12
+        with pytest.raises(TypeError):
+            DigitSetSpec(13, (F(0), F(1), F(2)), cap=13)
+        with pytest.raises(ValueError):
+            DigitSetSpec(DEPTH_CAP + 1, (F(0), F(1), F(2)))
 
 
 class TestAnchors:

@@ -12,6 +12,7 @@ from trapmeasure.exact import (
     Interval,
     IntervalUnion,
     PiecewiseLinearProfile,
+    as_rational,
     integrate_plp,
     measure,
     normalize,
@@ -19,7 +20,21 @@ from trapmeasure.exact import (
 from trapmeasure.permutations import Permutation, composite_permutation, digit_swap_permutation
 from trapmeasure.trapezoid import TrapezoidSpec, area, slice_profile
 
+from test_trapezoid import interior_heights_reference, slice_totals_integer_reference
+
 F = Fraction
+
+
+def profile_of(pairs):
+    """The profile through (y, value) pairs of exact rationals, from their
+    reduced integer columns."""
+    pts = [(as_rational(y), as_rational(v)) for y, v in pairs]
+    return PiecewiseLinearProfile(
+        tuple(y.numerator for y, _ in pts),
+        tuple(y.denominator for y, _ in pts),
+        tuple(v.numerator for _, v in pts),
+        tuple(v.denominator for _, v in pts),
+    )
 
 
 def union_measure_oracle(parts):
@@ -81,10 +96,14 @@ class TestNormalize:
         assert union_measure_oracle(parts) == F(2, 3)
 
     def test_direct_construction_rejects_non_canonical(self):
+        # normalize merges what the columns refuse: [0, 1] with [1/2, 2]
+        # (overlapping) and with [1, 2] (touching)
+        assert normalize([Interval(0, 1), Interval(F(1, 2), 2)]) == IntervalUnion((0,), (4,), 2)
         with pytest.raises(ValueError):
-            IntervalUnion((Interval(0, 1), Interval(F(1, 2), 2)))
+            IntervalUnion((0, 1), (2, 4), 2)
+        assert normalize([Interval(0, 1), Interval(1, 2)]) == IntervalUnion((0,), (2,), 1)
         with pytest.raises(ValueError):
-            IntervalUnion((Interval(0, 1), Interval(1, 2)))  # touching
+            IntervalUnion((0, 1), (1, 2), 1)
 
     @given(interval_lists())
     def test_measure_matches_endpoint_sweep_oracle(self, parts):
@@ -110,7 +129,7 @@ class TestUnionColumns:
     def test_equals_and_hashes_like_the_parts_form(self):
         columns = IntervalUnion(*self.COLUMNS)
         doubled = IntervalUnion((0, 6), (4, 10), 12)
-        parts = IntervalUnion(self.PARTS)
+        parts = normalize(self.PARTS)
         assert columns == doubled == parts
         assert hash(columns) == hash(doubled) == hash(parts)
         assert (parts.lo, parts.hi, parts.scale) == ((0, 3), (2, 5), 6)
@@ -118,13 +137,13 @@ class TestUnionColumns:
         assert repr(columns) == repr(parts) == "{[0, 1/3], [1/2, 5/6]}"
         assert columns.measure == parts.measure == F(2, 3)
         assert columns != IntervalUnion((0, 3), (2, 4), 6)
-        assert IntervalUnion() == IntervalUnion((), (), 7)
-        assert hash(IntervalUnion()) == hash(IntervalUnion((), (), 7))
+        assert normalize([]) == IntervalUnion((), (), 7)
+        assert hash(normalize([])) == hash(IntervalUnion((), (), 7))
 
     def test_parts_built_on_first_read_only(self):
         u = IntervalUnion(*self.COLUMNS)
         assert u.measure == F(2, 3)
-        assert u._parts is None  # the measure needs no Fraction per part
+        assert "parts" not in vars(u)  # the measure needs no Fraction per part
         assert all(type(x) is F for p in u.parts for x in (p.lo, p.hi))
         assert u.parts is u.parts  # cached
 
@@ -134,7 +153,7 @@ class TestUnionColumns:
             u.scale = 12
 
     def test_pickle_and_copy_round_trip(self):
-        for u in (IntervalUnion(*self.COLUMNS), IntervalUnion(self.PARTS), IntervalUnion()):
+        for u in (IntervalUnion(*self.COLUMNS), normalize(self.PARTS), normalize([])):
             for clone in (pickle.loads(pickle.dumps(u)), copy.copy(u), copy.deepcopy(u)):
                 assert clone == u
                 assert hash(clone) == hash(u)
@@ -179,7 +198,7 @@ class TestUnionColumns:
             hi.append(x)
         u = IntervalUnion(lo, hi, scale)
         assert u.measure == sum((p.length for p in u.parts), F(0))
-        assert u == normalize(u.parts) == IntervalUnion(u.parts)
+        assert u == normalize(u.parts)
 
 
 class TestMeasure:
@@ -209,36 +228,34 @@ def profile_pointwise_max(f, g):
         if d0 * d1 < 0:  # sign change: one interior crossing
             refined.add(y0 + (y1 - y0) * d0 / (d0 - d1))
     pts = sorted(refined)
-    return PiecewiseLinearProfile(
-        tuple((y, max(f.value_at(y), g.value_at(y))) for y in pts)
-    )
+    return profile_of((y, max(f.value_at(y), g.value_at(y))) for y in pts)
 
 
 class TestProfile:
     def test_constant_one_integrates_to_one(self):
-        f = PiecewiseLinearProfile(((F(0), F(1)), (F(1), F(1))))
+        f = profile_of(((F(0), F(1)), (F(1), F(1))))
         assert integrate_plp(f) == 1
 
     def test_vee_profile_hand_trapezoid_sum(self):
-        f = PiecewiseLinearProfile(((F(0), F(1)), (F(1, 2), F(1, 3)), (F(1), F(1))))
+        f = profile_of(((F(0), F(1)), (F(1, 2), F(1, 3)), (F(1), F(1))))
         assert integrate_plp(f) == F(2, 3)
 
     def test_shallow_vee_profile(self):
-        f = PiecewiseLinearProfile(((F(0), F(1)), (F(1, 2), F(2, 3)), (F(1), F(1))))
+        f = profile_of(((F(0), F(1)), (F(1, 2), F(2, 3)), (F(1), F(1))))
         assert integrate_plp(f) == F(5, 6)
 
     def test_rejects_not_spanning_unit_interval(self):
         with pytest.raises(ValueError):
-            PiecewiseLinearProfile(((F(0), F(1)), (F(1, 2), F(1))))
+            profile_of(((F(0), F(1)), (F(1, 2), F(1))))
         with pytest.raises(ValueError):
-            PiecewiseLinearProfile(((F(1, 4), F(1)), (F(1), F(1))))
+            profile_of(((F(1, 4), F(1)), (F(1), F(1))))
 
     def test_rejects_non_increasing_ordinates(self):
         with pytest.raises(ValueError):
-            PiecewiseLinearProfile(((F(0), F(1)), (F(0), F(2)), (F(1), F(1))))
+            profile_of(((F(0), F(1)), (F(0), F(2)), (F(1), F(1))))
 
     def test_value_at_interpolates(self):
-        f = PiecewiseLinearProfile(((F(0), F(0)), (F(1, 2), F(1)), (F(1), F(0))))
+        f = profile_of(((F(0), F(0)), (F(1, 2), F(1)), (F(1), F(0))))
         assert f.value_at(F(1, 4)) == F(1, 2)
         assert f.value_at(F(1, 2)) == 1
         assert f.value_at(1) == 0
@@ -258,9 +275,7 @@ class TestProfile:
     def test_integral_of_pointwise_max_dominates(self, vals_f, vals_g):
         def build(vals):
             step = F(1, len(vals) - 1)
-            return PiecewiseLinearProfile(
-                tuple((i * step, v) for i, v in enumerate(vals))
-            )
+            return profile_of((i * step, v) for i, v in enumerate(vals))
 
         f, g = build(vals_f), build(vals_g)
         top = profile_pointwise_max(f, g)
@@ -287,7 +302,7 @@ class TestProfile:
             ((y1 - y0) * (v0 + v1) / 2 for (y0, v0), (y1, v1) in zip(pts, pts[1:])),
             F(0),
         )
-        result = integrate_plp(PiecewiseLinearProfile(pts))
+        result = integrate_plp(profile_of(pts))
         assert type(result) is Fraction
         assert result == expected
 
@@ -301,7 +316,7 @@ class TestIntegerColumns:
         for n, image in ((3, (1, 3, 2)), (9, digit_swap_permutation(2).image), (30, None)):
             spec = TrapezoidSpec(n, Permutation(image) if image else composite_permutation(n))
             prof = slice_profile(spec)
-            assert prof._breakpoints is None  # nothing built until first read
+            assert "breakpoints" not in vars(prof)  # nothing built until first read
             expected = tuple(
                 (F(p, q), F(a, b))
                 for p, q, a, b in zip(prof.y_num, prof.y_den, prof.v_num, prof.v_den)
@@ -309,28 +324,31 @@ class TestIntegerColumns:
             assert prof.breakpoints == expected
             assert all(type(y) is F and type(v) is F for y, v in prof.breakpoints)
             assert prof.breakpoints is prof.breakpoints  # cached
-            assert PiecewiseLinearProfile(expected) == prof
+            assert profile_of(expected) == prof
 
     def test_columns_from_pairs(self):
-        prof = PiecewiseLinearProfile(self.PAIRS)
+        # columns are stored as given, reduced or not
+        prof = profile_of(self.PAIRS)
         assert (prof.y_num, prof.y_den, prof.v_num, prof.v_den) == (
             (0, 1, 1),
             (1, 2, 1),
             (1, 1, 1),
             (1, 2, 1),
         )
+        unreduced = PiecewiseLinearProfile(*self.UNREDUCED)
+        assert (unreduced.y_num, unreduced.y_den, unreduced.v_num, unreduced.v_den) == self.UNREDUCED
 
     def test_equality_is_value_based(self):
         unreduced = PiecewiseLinearProfile(*self.UNREDUCED)
-        pairs = PiecewiseLinearProfile(self.PAIRS)
+        pairs = profile_of(self.PAIRS)
         assert unreduced == pairs
         assert hash(unreduced) == hash(pairs)
         assert unreduced.breakpoints == self.PAIRS
         assert integrate_plp(unreduced) == integrate_plp(pairs) == F(3, 4)
-        assert unreduced != PiecewiseLinearProfile(((F(0), F(1)), (F(1), F(1))))
+        assert unreduced != PiecewiseLinearProfile((0, 1), (1, 1), (1, 1), (1, 1))
 
     def test_immutable(self):
-        prof = PiecewiseLinearProfile(self.PAIRS)
+        prof = PiecewiseLinearProfile(*self.UNREDUCED)
         with pytest.raises(AttributeError):
             prof.y_num = (0, 1)
 
@@ -340,7 +358,8 @@ class TestIntegerColumns:
             assert clone == prof
             assert clone.v_den == self.UNREDUCED[3]
 
-    # each invalid profile in both input forms: pairs, then integer columns
+    # each invalid profile in both forms: (y, value) pairs through
+    # ``profile_of``, then integer columns as given
     INVALID = {
         "one point": (((F(0), F(1)),), ((0,), (1,), (1,), (1,)), ValueError),
         "ends below 1": (
@@ -374,7 +393,7 @@ class TestIntegerColumns:
     def test_each_check_raises_on_both_forms(self, case):
         pairs, columns, error = self.INVALID[case]
         with pytest.raises(error):
-            PiecewiseLinearProfile(pairs)
+            profile_of(pairs)
         with pytest.raises(error):
             PiecewiseLinearProfile(*columns)
 
@@ -431,7 +450,7 @@ class TestIntegrationByParts:
 
     @classmethod
     def profiles(cls):
-        yield PiecewiseLinearProfile(((0, F(3, 7)), (1, F(5, 11))))
+        yield PiecewiseLinearProfile((0, 1), (1, 1), (3, 5), (7, 11))
         for spec in cls.specs():
             yield slice_profile(spec)
 
@@ -444,6 +463,19 @@ class TestIntegrationByParts:
         # no strip count n and no sweep behind it
         for spec in self.specs():
             assert area.__wrapped__(spec) == integrate_plp(slice_profile(spec))
+
+    def test_area_matches_trapezoid_rule_over_reference_heights(self):
+        # reads none of the sweep's kinks: every height where two strips'
+        # ends meet, with the slice totals there from sorted endpoints
+        for spec in self.specs():
+            if spec.n > 60:
+                continue
+            ys = [F(0), *interior_heights_reference(spec.sigma.image), F(1)]
+            nums, dens = [y.numerator for y in ys], [y.denominator for y in ys]
+            totals = slice_totals_integer_reference(spec, nums, dens)
+            vs = [F(t, spec.n * y.denominator) for t, y in zip(totals, ys)]
+            rule = sum((b - a) * (va + vb) / 2 for a, b, va, vb in zip(ys, ys[1:], vs, vs[1:]))
+            assert area.__wrapped__(spec) == rule
 
     @given(st.integers(1, 40).flatmap(lambda n: st.permutations(range(1, n + 1))))
     def test_slope_integration_matches_on_random_permutations(self, image):

@@ -9,10 +9,12 @@ from hypothesis import given, strategies as st
 from trapmeasure.cantor import slice_set
 from trapmeasure.exact import Interval, normalize
 from trapmeasure.gasket import (
+    GASKET_DEPTH_CAP,
     Direction,
     GasketSpec,
     _anchor_columns,
     _exact_sum,
+    _numeric_measure,
     _project_exact,
     _project_numeric,
     decay_fit,
@@ -30,9 +32,9 @@ F = Fraction
 
 class TestSpecAndDirection:
     def test_depth_cap(self):
+        assert GasketSpec(GASKET_DEPTH_CAP).depth == 8
         with pytest.raises(ValueError):
             GasketSpec(9)
-        assert GasketSpec(9, cap=9).depth == 9
 
     def test_direction_needs_exactly_one_mode(self):
         with pytest.raises(ValueError):
@@ -285,9 +287,10 @@ class TestExactSum:
             _exact_sum(lengths)
 
     def test_favard_past_the_depth_cap_raises(self):
-        # depth 9 has directions with more than 2^13 parts
+        # depth 9 has directions with more than 2^13 parts: midpoint 9 of a
+        # 64-point grid has 9,694
         with pytest.raises(ValueError, match="2\\^13"):
-            favard(GasketSpec(9, cap=9), 64)
+            _numeric_measure(_anchor_columns(9), 9, (9 + 0.5) * math.pi / 64)
 
 
 class TestMeasureOnlyPaths:

@@ -22,7 +22,7 @@ from trapmeasure.search import (
     alpha_scan,
     resolve_workers,
 )
-from trapmeasure.trapezoid import TrapezoidSpec, area
+from trapmeasure.trapezoid import TrapezoidSpec, area, farey_grid
 
 F = Fraction
 
@@ -203,6 +203,20 @@ class TestExhaustive:
         monkeypatch.setattr(search, "_range_champion", enumerate_anyway)
         with pytest.raises(ValueError):
             alpha_exhaustive(n, workers=1, force=True)
+
+    def test_largest_admitted_n_has_int64_grid_numerators(self, monkeypatch):
+        # the base-(n+1) code bound admits n = 15 and refuses 16, and the
+        # grid's int64 numerators (D < 2^62) hold up to n = 21, so the code
+        # bound is the only exactness check the search needs
+        def enumerate_anyway(args):
+            raise RuntimeError("enumeration started")
+
+        monkeypatch.setattr(search, "_range_champion", enumerate_anyway)
+        with pytest.raises(RuntimeError, match="enumeration started"):
+            alpha_exhaustive(15, workers=1, force=True)
+        assert farey_grid(15).denominator < 2**62
+        with pytest.raises(ValueError, match="codes overflow int64"):
+            alpha_exhaustive(16, workers=1, force=True)
 
     def test_range_winner_checked_against_exact_sweep(self, monkeypatch):
         monkeypatch.setattr(search, "area", lambda spec: F(1))

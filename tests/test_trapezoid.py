@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trapmeasure.exact import integrate_plp, measure, normalize
+from trapmeasure.exact import Interval, integrate_plp, measure, normalize
 from trapmeasure.permutations import (
     Permutation,
     composite_permutation,
@@ -20,7 +20,6 @@ from trapmeasure.permutations import (
 from trapmeasure import trapezoid
 from trapmeasure.trapezoid import (
     FareyGrid,
-    Parallelogram,
     TrapezoidSpec,
     area,
     area_oracle,
@@ -49,32 +48,6 @@ class TestSpecType:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             TrapezoidSpec(0, Permutation((1,)))
-
-    def test_parallelogram_decomposition(self):
-        pieces = spec_of((1, 3, 2)).parallelograms()
-        assert [(p.j, p.k) for p in pieces] == [(1, 1), (2, 3), (3, 2)]
-
-
-class TestParallelogram:
-    def test_slice_width_and_motion(self):
-        piece = Parallelogram(j=2, k=3, n=3)
-        bottom = piece.slice_at(0)
-        top = piece.slice_at(1)
-        assert (bottom.lo, bottom.hi) == (F(1, 3), F(2, 3))
-        assert (top.lo, top.hi) == (F(2, 3), 1)
-        mid = piece.slice_at(F(1, 2))
-        assert mid.length == F(1, 3)
-        assert mid.lo == F(1, 2)
-
-    def test_rejects_out_of_range_indices(self):
-        with pytest.raises(ValueError):
-            Parallelogram(j=0, k=1, n=3)
-        with pytest.raises(ValueError):
-            Parallelogram(j=1, k=4, n=3)
-
-    def test_rejects_bad_height(self):
-        with pytest.raises(ValueError):
-            Parallelogram(j=1, k=1, n=2).slice_at(F(3, 2))
 
 
 class TestSlice:
@@ -110,7 +83,12 @@ class TestSlice:
         assert all(0 <= p.lo and p.hi <= 1 for p in u.parts)
         assert F(1, n) <= measure(u) <= 1
         # the integer slice equals the Fraction union of the n strips
-        assert u == normalize(piece.slice_at(y) for piece in spec.parallelograms())
+        # [(j0 + d*y)/n, (j0 + d*y + 1)/n], d = sigma(j0 + 1) - (j0 + 1)
+        strips = [
+            Interval((j0 + (v - j0 - 1) * y) / n, (j0 + (v - j0 - 1) * y + 1) / n)
+            for j0, v in enumerate(image)
+        ]
+        assert u == normalize(strips)
 
 
 class TestSliceProfile:
@@ -316,7 +294,7 @@ class TestSliceTotals:
     def specs():
         rng = random.Random(23)
         yield spec_of((1,))
-        # every size from the smallest numpy-path input up to the old cutoff
+        # every size from 2 to 48, each swept in a single slab
         for n in range(2, 49):
             image = list(range(1, n + 1))
             rng.shuffle(image)
@@ -696,7 +674,7 @@ class TestAreaCrossValidation:
                 assert area(spec_of(image)) == area_reference(image)
 
     def test_vectorized_path_matches_reference(self):
-        # n = 60 exceeds the pure-python cutoff, exercising the numpy sweep
+        # three random permutations of 60 strips against the Fraction sweep
         rng = random.Random(7)
         for _ in range(3):
             image = list(range(1, 61))
@@ -705,7 +683,7 @@ class TestAreaCrossValidation:
 
     @pytest.mark.parametrize("n", range(9, 13))
     def test_just_above_cutoff_matches_reference(self, n):
-        # the sizes just above the former pure-Python cutoff (n <= 8)
+        # n = 9..12: the reversal and three random permutations each
         rng = random.Random(n)
         images = [tuple(range(n, 0, -1))]
         for _ in range(3):
@@ -785,8 +763,8 @@ class TestFareyGrid:
         grid = farey_grid(n)
         exact = [area.__wrapped__(spec_of(img)) for img in images]
         assert exact_grid_areas(grid, images) == exact
-        assert (n >= 24) == (not grid.fits_int64) == (grid.limbs.shape[1] > 2)
-        if grid.fits_int64:
+        assert (n >= 24) == (grid.denominator >= 2**62) == (grid.limbs.shape[1] > 2)
+        if grid.denominator < 2**62:
             # from n = 16 the int64 numerators need the high limb
             assert grid.limbs[:, 1].any()
             assert grid_areas(n, images) == exact
@@ -840,7 +818,7 @@ class TestFareyGrid:
     def test_int64_numerators_refused_above_the_denominator_limit(self):
         # the grid itself is exact at any n; only the int64 numerators are refused
         grid = FareyGrid(40)
-        assert not grid.fits_int64
+        assert grid.denominator >= 2**62
         image = np.array([reversal(40).image])
         with pytest.raises(ValueError, match="denominator"):
             grid.area_numerators(image)
@@ -876,8 +854,8 @@ class TestAreaOracle:
 
     @pytest.mark.parametrize("m", [4, 5])
     def test_oracle_confirms_large_vectorized_sweeps(self, m):
-        # independent check of the numpy breakpoint path at sizes far above
-        # the pure-python cutoff
+        # independent check of the kink sweep on involutions of 81 and 243
+        # strips, which take its half sweep
         spec = TrapezoidSpec(3**m, digit_swap_permutation(m))
         assert abs(area_oracle(spec, 10_000) - float(area(spec))) <= 2e-3
 
