@@ -7,6 +7,10 @@ of their own, so ``--format text`` prints their CSV table.  Summaries on
 stderr follow the text and CSV forms only; the JSON form carries them in
 its payload.  ``render`` writes SVG.
 
+``main`` builds only the parser path its argv names, from one command
+table; any other argv (``-h``, no command, an unknown name) gets the full
+parser, so help and error text are the same either way.
+
 Exit codes: 0 success, 1 invalid input, 2 internal failure, 3 when a
 ``verify`` subcommand records a violated row.  All outputs are
 deterministic for a fixed command line (and seed), so they can be pinned
@@ -22,6 +26,7 @@ import json
 import math
 import sys
 import traceback
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -410,111 +415,125 @@ def _cmd_render(args) -> _Output:
 # --------------------------------------------------------------------- parser
 
 
-def _add_common(parser: argparse.ArgumentParser, default_format: str) -> None:
-    parser.add_argument("--format", choices=("text", "csv", "json"), default=default_format)
-    parser.add_argument("--out", "-o", default=None, help="output path (default stdout)")
+def _arg(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    """The flags and keywords of one ``add_argument`` call."""
+    return flags, kwargs
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _common(default_format: str) -> tuple:
+    return (
+        _arg("--format", choices=("text", "csv", "json"), default=default_format),
+        _arg("--out", "-o", default=None, help="output path (default stdout)"),
+    )
+
+
+# The command table: one entry per command and per verify/render check,
+# name -> (help or None, arguments, handler).  verify and render give the
+# dest and the table of their checks in place of a handler.
+_COMMANDS = {
+    "area": ("exact trapezoid area", [
+        _arg("--n", type=int, required=True),
+        _arg("--perm", required=True, help='"1,3,2", identity, reversal, composite, digit-swap:M'),
+        *_common("text"),
+    ], _cmd_area),
+    "slice": ("exact horizontal slice", [
+        _arg("--n", type=int, required=True),
+        _arg("--perm", required=True),
+        _arg("--y", required=True, help="height in [0,1], e.g. 1/2"),
+        *_common("text"),
+    ], _cmd_slice),
+    "alpha": ("minimum area over permutations", [
+        _arg("--n", type=int, required=True),
+        _arg("--heuristic", action="store_true"),
+        _arg("--budget", type=int, default=2000),
+        _arg("--seed", type=int, default=0),
+        _arg("--workers", type=int, default=None),
+        _arg("--no-symmetry", action="store_true"),
+        _arg("--force", action="store_true", help="lift the exhaustive n guard"),
+        _arg("--timing", action="store_true", help="include wall time in output"),
+        *_common("json"),
+    ], _cmd_alpha),
+    "alpha-scan": ("alpha table for n = 1..max-n", [
+        _arg("--max-n", type=int, required=True),
+        _arg("--exhaustive-limit", type=int, default=8),
+        _arg("--budget", type=int, default=2000),
+        _arg("--seed", type=int, default=0),
+        _arg("--workers", type=int, default=None),
+        _arg("--timing", action="store_true"),
+        *_common("csv"),
+    ], _cmd_alpha_scan),
+    "sigma3": ("areas of the 3^m digit-swap family", [
+        _arg("--max-m", type=int, default=4),
+        *_common("csv"),
+    ], _cmd_sigma3),
+    "sigma-n": ("composite permutation and its block identity", [
+        _arg("--n", type=int, required=True),
+        *_common("json"),
+    ], _cmd_sigma_n),
+    "cantor": ("closed-form vs partial Cantor measures", [
+        _arg("--t", required=True),
+        _arg("--depth", type=int, default=8),
+        *_common("text"),
+    ], _cmd_cantor),
+    "slice-measure": ("closed-form slice measure at height t", [
+        _arg("--t", required=True),
+        *_common("text"),
+    ], _cmd_slice_measure),
+    "favard": ("direction-averaged gasket projection measure", [
+        _arg("--depth", type=int, required=True),
+        _arg("--quad-points", type=int, default=4096),
+        *_common("text"),
+    ], _cmd_favard),
+    "verify": ("inequality and identity checks", [], ("check", {
+        "lemma1": ("slice measure vs projection bound", [
+            _arg("--depths", default="1,2,3,4", help="comma-separated depths"),
+            _arg("--t-points", type=int, default=11, help="uniform grid size on [0,1]"),
+            *_common("csv"),
+        ], _cmd_verify_lemma1),
+        "lemma2": ("singular integral growth ratios", [
+            _arg("--p", default="1/2"),
+            _arg("--n-values", default="5,10,20,40"),
+            *_common("csv"),
+        ], _cmd_verify_lemma2),
+        "weighted-sum": ("composite block identity, both sides", [
+            _arg("--n", type=int, required=True),
+            *_common("csv"),
+        ], _cmd_verify_weighted_sum),
+    })),
+    "render": ("SVG figures", [], ("target", {
+        "trapezoid": (None, [
+            _arg("--n", type=int, required=True),
+            _arg("--perm", required=True),
+            _arg("--out", "-o", default=None),
+        ], _cmd_render),
+        "gasket": (None, [_arg("--depth", type=int, required=True), _arg("--out", "-o", default=None)], _cmd_render),
+    })),
+}
+
+
+def _add_commands(parser: argparse.ArgumentParser, dest: str, table: dict, argv: Sequence[str]) -> None:
+    sub = parser.add_subparsers(dest=dest, required=True, parser_class=_Parser)
+    for name in argv[:1] if argv and argv[0] in table else table:
+        help_text, arguments, run = table[name]
+        p = sub.add_parser(name, **({} if help_text is None else {"help": help_text}))
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        if isinstance(run, tuple):
+            _add_commands(p, *run, argv[1:])
+        else:
+            p.set_defaults(func=run)
+
+
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser of every command, or of only the path ``argv`` names.
+
+    ``argv[0]``, and under ``verify`` and ``render`` ``argv[1]``, picks one
+    table entry when it names one: a run reads no other parser, and building
+    them all takes milliseconds.  Any other ``argv`` (none, ``-h``, an
+    unknown or abbreviated name, an option first) builds every entry.
+    """
     parser = _Parser(prog="trapmeasure", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("area", help="exact trapezoid area")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--perm", required=True, help='"1,3,2", identity, reversal, composite, digit-swap:M')
-    _add_common(p, "text")
-    p.set_defaults(func=_cmd_area)
-
-    p = sub.add_parser("slice", help="exact horizontal slice")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--perm", required=True)
-    p.add_argument("--y", required=True, help="height in [0,1], e.g. 1/2")
-    _add_common(p, "text")
-    p.set_defaults(func=_cmd_slice)
-
-    p = sub.add_parser("alpha", help="minimum area over permutations")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--heuristic", action="store_true")
-    p.add_argument("--budget", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--no-symmetry", action="store_true")
-    p.add_argument("--force", action="store_true", help="lift the exhaustive n guard")
-    p.add_argument("--timing", action="store_true", help="include wall time in output")
-    _add_common(p, "json")
-    p.set_defaults(func=_cmd_alpha)
-
-    p = sub.add_parser("alpha-scan", help="alpha table for n = 1..max-n")
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--exhaustive-limit", type=int, default=8)
-    p.add_argument("--budget", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--timing", action="store_true")
-    _add_common(p, "csv")
-    p.set_defaults(func=_cmd_alpha_scan)
-
-    p = sub.add_parser("sigma3", help="areas of the 3^m digit-swap family")
-    p.add_argument("--max-m", type=int, default=4)
-    _add_common(p, "csv")
-    p.set_defaults(func=_cmd_sigma3)
-
-    p = sub.add_parser("sigma-n", help="composite permutation and its block identity")
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p, "json")
-    p.set_defaults(func=_cmd_sigma_n)
-
-    p = sub.add_parser("cantor", help="closed-form vs partial Cantor measures")
-    p.add_argument("--t", required=True)
-    p.add_argument("--depth", type=int, default=8)
-    _add_common(p, "text")
-    p.set_defaults(func=_cmd_cantor)
-
-    p = sub.add_parser("slice-measure", help="closed-form slice measure at height t")
-    p.add_argument("--t", required=True)
-    _add_common(p, "text")
-    p.set_defaults(func=_cmd_slice_measure)
-
-    p = sub.add_parser("favard", help="direction-averaged gasket projection measure")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--quad-points", type=int, default=4096)
-    _add_common(p, "text")
-    p.set_defaults(func=_cmd_favard)
-
-    verify = sub.add_parser("verify", help="inequality and identity checks")
-    vsub = verify.add_subparsers(dest="check", required=True, parser_class=_Parser)
-
-    p = vsub.add_parser("lemma1", help="slice measure vs projection bound")
-    p.add_argument("--depths", default="1,2,3,4", help="comma-separated depths")
-    p.add_argument("--t-points", type=int, default=11, help="uniform grid size on [0,1]")
-    _add_common(p, "csv")
-    p.set_defaults(func=_cmd_verify_lemma1)
-
-    p = vsub.add_parser("lemma2", help="singular integral growth ratios")
-    p.add_argument("--p", default="1/2")
-    p.add_argument("--n-values", default="5,10,20,40")
-    _add_common(p, "csv")
-    p.set_defaults(func=_cmd_verify_lemma2)
-
-    p = vsub.add_parser("weighted-sum", help="composite block identity, both sides")
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p, "csv")
-    p.set_defaults(func=_cmd_verify_weighted_sum)
-
-    render = sub.add_parser("render", help="SVG figures")
-    rsub = render.add_subparsers(dest="target", required=True, parser_class=_Parser)
-
-    p = rsub.add_parser("trapezoid")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--perm", required=True)
-    p.add_argument("--out", "-o", default=None)
-    p.set_defaults(func=_cmd_render, target="trapezoid")
-
-    p = rsub.add_parser("gasket")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--out", "-o", default=None)
-    p.set_defaults(func=_cmd_render, target="gasket")
-
+    _add_commands(parser, "command", _COMMANDS, argv)
     return parser
 
 
@@ -525,9 +544,9 @@ def main(argv: list[str] | None = None) -> int:
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     if limit is not None:
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         return _write(args, args.func(args))
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -103,6 +103,10 @@ class IntervalUnion:
         scale = self.scale
         return tuple(Interval(Fraction(a, scale), Fraction(b, scale)) for a, b in zip(self.lo, self.hi))
 
+    def __getstate__(self) -> dict:
+        # pickle the columns only: parts is several times their size, and rebuilt on read
+        return {"lo": self.lo, "hi": self.hi, "scale": self.scale}
+
     @property
     def measure(self) -> Rational:
         """Exact total length (one-dimensional Lebesgue measure)."""
@@ -216,6 +220,10 @@ class PiecewiseLinearProfile:
             (Fraction(p, q), Fraction(a, b))
             for p, q, a, b in zip(self.y_num, self.y_den, self.v_num, self.v_den)
         )
+
+    def __getstate__(self) -> dict:
+        # pickle the columns only: breakpoints is several times their size, and rebuilt on read
+        return {"y_num": self.y_num, "y_den": self.y_den, "v_num": self.v_num, "v_den": self.v_den}
 
     def __eq__(self, other: object) -> bool:
         # type(self): the benchmark's traced runs rebind the module-level name

@@ -1,3 +1,4 @@
+import argparse
 import json
 import sys
 import time
@@ -6,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from trapmeasure.cli import main
+import trapmeasure.cli as cli_module
+from trapmeasure.cli import CliError, build_parser, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 BENCH_EXPECTED_DIR = Path(__file__).parent.parent / "benchmark" / "expected"
@@ -349,3 +351,86 @@ class TestTimingFlag:
         main(["alpha", "--n", "2", "--workers", "1"])
         payload = json.loads(capsys.readouterr().out)
         assert "wall_time_s" not in payload
+
+
+def _subcommands(parser):
+    """The name -> parser map of a parser's subcommand action."""
+    return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+FULL = _subcommands(build_parser())
+# the top level, every command, and every verify and render check
+HELP_PATHS = [[], *([name] for name in FULL)] + [
+    [group, check] for group in ("verify", "render") for check in _subcommands(FULL[group])
+]
+
+
+class TestNarrowedParser:
+    """``main`` builds only the parser path its argv names; each test here
+    compares that path with the full parser."""
+
+    VALID = {
+        **{name: argv for name, (argv, _) in GOLDEN_CASES.items()},
+        **{name: argv for name, (argv, _) in FULL_SIZE_PINS.items()},
+        **SWEEP_PINS,
+    }
+
+    @pytest.mark.parametrize("name", sorted(VALID))
+    def test_same_namespace(self, name):
+        argv = self.VALID[name]
+        assert vars(build_parser(argv).parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["area", "--n", "3", "--perm", "1,3,2", "--bogus"],  # unknown flag
+            ["frobnicate"],  # unknown command
+            ["area", "--n", "3"],  # missing required option
+            ["verify", "lemma1", "--t-points", "x"],  # invalid value
+            ["render"],  # missing check
+        ],
+    )
+    def test_same_error(self, argv):
+        messages = []
+        for parser in (build_parser(argv), build_parser()):
+            with pytest.raises(CliError) as info:
+                parser.parse_args(argv)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("path", HELP_PATHS, ids=lambda path: " ".join(path) or "top")
+    def test_same_help(self, path, capsys):
+        argv = [*path, "--help"]
+        texts = []
+        for run in (lambda: main(argv), lambda: build_parser().parse_args(argv)):
+            with pytest.raises(SystemExit) as info:
+                run()
+            assert info.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert texts[0].startswith("usage: trapmeasure")
+
+    def test_table_names_are_the_full_choices(self):
+        assert list(cli_module._COMMANDS) == list(FULL)
+        for group in ("verify", "render"):
+            _, _, (_, checks) = cli_module._COMMANDS[group]
+            assert list(checks) == list(_subcommands(FULL[group]))
+
+    def test_only_the_named_path_is_built(self):
+        assert list(_subcommands(build_parser(["area", "--n", "3", "--perm", "1,3,2"]))) == ["area"]
+        verify = _subcommands(build_parser(["verify", "lemma2"]))
+        assert list(verify) == ["verify"]
+        assert list(_subcommands(verify["verify"])) == ["lemma2"]
+
+    def test_main_without_argv_reads_sys_argv_and_narrows(self, monkeypatch, capsys):
+        built = []
+
+        def recording_build_parser(argv=()):
+            built.append(build_parser(argv))
+            return built[-1]
+
+        monkeypatch.setattr(cli_module, "build_parser", recording_build_parser)
+        monkeypatch.setattr(sys, "argv", ["trapmeasure", "area", "--n", "3", "--perm", "1,3,2"])
+        assert main() == 0
+        assert capsys.readouterr().out == (GOLDEN_DIR / "area_3_132.txt").read_text()
+        assert [list(_subcommands(parser)) for parser in built] == [["area"]]

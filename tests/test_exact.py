@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from trapmeasure.cantor import slice_set
 from trapmeasure.exact import (
     Interval,
     IntervalUnion,
@@ -415,6 +416,27 @@ class TestIntegerColumns:
         with pytest.raises(TypeError):
             PiecewiseLinearProfile((0, 1), (1, 1), (bad, 1), (1, 1))
 
+
+@pytest.mark.parametrize(
+    "build, cached",
+    [
+        (lambda: slice_set(8, "1/3"), "parts"),
+        (lambda: slice_profile(TrapezoidSpec(9, digit_swap_permutation(2))), "breakpoints"),
+    ],
+    ids=["union", "profile"],
+)
+def test_pickle_holds_the_integer_columns_only(build, cached):
+    # a read cache is not pickled: at depth 8, the union's Fraction parts
+    # would take its pickle from 2,513 to 17,946 bytes
+    value = build()
+    before = pickle.dumps(value)
+    view = getattr(value, cached)
+    assert cached in vars(value)
+    assert pickle.dumps(value) == before
+    clone = pickle.loads(before)
+    assert cached not in vars(clone)
+    assert getattr(clone, cached) == view  # rebuilt on first read
+    assert clone == value
 
 def integrate_plp_lcm_reference(profile):
     """Trapezoid rule with ordinates and values scaled to integers over the
