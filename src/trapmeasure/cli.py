@@ -11,10 +11,10 @@ its payload.  ``render`` writes SVG.
 table; any other argv (``-h``, no command, an unknown name) gets the full
 parser, so help and error text are the same either way.
 
-Exit codes: 0 success, 1 invalid input, 2 internal failure, 3 when a
-``verify`` subcommand records a violated row.  All outputs are
-deterministic for a fixed command line (and seed), so they can be pinned
-byte-for-byte.
+Exit codes: 0 success (help included), 1 invalid input, 2 internal
+failure, 3 when a ``verify`` subcommand records a violated row.  Every
+output is deterministic for a fixed command line (and seed), whatever the
+worker count or environment, so each can be pinned byte-for-byte.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 import traceback
 from collections.abc import Sequence
@@ -176,8 +175,8 @@ def _record_row(record: search_mod.AlphaRecord) -> list[str]:
     return [str(record.n), *_ratio(record.alpha), str(record.argmin), record.mode, str(record.perms_evaluated)]
 
 
-def _record_payload(record: search_mod.AlphaRecord, timing: bool) -> dict:
-    payload = {
+def _record_payload(record: search_mod.AlphaRecord) -> dict:
+    return {
         "n": record.n,
         "alpha": str(record.alpha),
         "alpha_decimal": _decimal(record.alpha),
@@ -185,25 +184,17 @@ def _record_payload(record: search_mod.AlphaRecord, timing: bool) -> dict:
         "mode": record.mode,
         "perms_evaluated": record.perms_evaluated,
     }
-    if timing:
-        payload["wall_time_s"] = round(record.wall_time, 6)
-    return payload
 
 
 def _cmd_alpha(args) -> _Output:
     if args.heuristic:
         record = search_mod.alpha_heuristic(args.n, budget=args.budget, seed=args.seed)
     else:
-        record = search_mod.alpha_exhaustive(
-            args.n,
-            use_symmetry=not args.no_symmetry,
-            workers=args.workers,
-            force=args.force,
-        )
+        record = search_mod.alpha_exhaustive(args.n, workers=args.workers, force=args.force)
     return _Output(
         header=_ALPHA_COLUMNS,
         rows=[_record_row(record)],
-        payload=_record_payload(record, args.timing),
+        payload=_record_payload(record),
         text=f"alpha({record.n}) = {record.alpha} ≈ {float(record.alpha):.6f} "
         f"argmin {record.argmin} ({record.mode}, {record.perms_evaluated} evaluated)\n",
     )
@@ -228,7 +219,7 @@ def _cmd_alpha_scan(args) -> _Output:
         header=_ALPHA_COLUMNS,
         rows=[_record_row(r) for r in report.records],
         payload={
-            "records": [_record_payload(r, args.timing) for r in report.records],
+            "records": [_record_payload(r) for r in report.records],
             "monotonicity_violations": [list(v) for v in report.violations],
             "c_estimates": [{"n": n, "alpha_times_log_n": value} for n, value in report.c_estimates],
             "upper_bound_fit": _fit_payload(fit),
@@ -385,15 +376,12 @@ def _cmd_verify_lemma1(args) -> _Output:
 def _cmd_verify_lemma2(args) -> _Output:
     p = float(_parse_rational(args.p))
     n_values = [float(_parse_rational(part)) for part in args.n_values.split(",")]
-    cells = []
-    any_violation = False
-    previous = None
-    for row in gasket_mod.lemma2_check(p, n_values):
-        ok = math.isfinite(row.ratio) and row.ratio > 0 and (previous is None or row.ratio <= previous)
-        previous = row.ratio
-        any_violation |= not ok
-        cells.append([*map(_decimal, (p, row.n, row.integral, row.bound, row.ratio)), str(ok).lower()])
-    return _verify_output(["p", "n", "integral", "bound", "ratio", "ok"], cells, any_violation)
+    rows = gasket_mod.lemma2_check(p, n_values)
+    return _verify_output(
+        ["p", "n", "integral", "bound", "ratio", "ok"],
+        [[*map(_decimal, (p, row.n, row.integral, row.bound, row.ratio)), str(row.ok).lower()] for row in rows],
+        not all(row.ok for row in rows),
+    )
 
 
 def _cmd_verify_weighted_sum(args) -> _Output:
@@ -448,9 +436,7 @@ _COMMANDS = {
         _arg("--budget", type=int, default=2000),
         _arg("--seed", type=int, default=0),
         _arg("--workers", type=int, default=None),
-        _arg("--no-symmetry", action="store_true"),
         _arg("--force", action="store_true", help="lift the exhaustive n guard"),
-        _arg("--timing", action="store_true", help="include wall time in output"),
         *_common("json"),
     ], _cmd_alpha),
     "alpha-scan": ("alpha table for n = 1..max-n", [
@@ -459,7 +445,6 @@ _COMMANDS = {
         _arg("--budget", type=int, default=2000),
         _arg("--seed", type=int, default=0),
         _arg("--workers", type=int, default=None),
-        _arg("--timing", action="store_true"),
         *_common("csv"),
     ], _cmd_alpha_scan),
     "sigma3": ("areas of the 3^m digit-swap family", [
@@ -548,6 +533,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser(argv).parse_args(argv)
         return _write(args, args.func(args))
+    except SystemExit as exc:  # argparse exits 0 once it has printed help
+        return exc.code
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

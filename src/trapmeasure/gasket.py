@@ -16,16 +16,16 @@ mode every triangle's interval is its projected anchor plus one fixed
 offset pair, so a single sort of the anchors orders both endpoint arrays
 and the parts are cut wherever a gap exceeds the tolerance, with no
 per-triangle loop; the anchor columns of each depth are built once and
-cached read-only.  ``project`` builds the tuple of parts and takes the
-``math.fsum`` of their lengths.  ``favard`` and ``lemma1_check`` read only
-the measure, straight from the endpoint arrays: ``_exact_sum`` splits
-every part length exactly into three columns, multiples of 2^-20, 2^-45
-and 2^-72, whose numpy sums are exact in any order, so the ``math.fsum``
-of the three column sums is the correctly rounded total, the same double
-``project`` reports.  The split is exact only for fewer than 2^13 lengths
-in [2^-20, 2), which holds up to ``GASKET_DEPTH_CAP``, a constant that
-``GasketSpec`` enforces; anything outside that range raises.  The exact
-mode exists to anchor the numeric one.
+cached read-only.  Every measure in angle mode (``project``'s, and the
+only thing ``favard`` and ``lemma1_check`` read) comes straight from the
+endpoint arrays: ``_exact_sum`` splits every part length exactly into
+three columns, multiples of 2^-20, 2^-45 and 2^-72, whose numpy sums are
+exact in any order, so the ``math.fsum`` of the three column sums is the
+correctly rounded total, the double ``math.fsum`` of the lengths gives.
+The split is exact only for fewer than 2^13 lengths in [2^-20, 2), which
+holds up to ``GASKET_DEPTH_CAP``, a constant that ``GasketSpec``
+enforces; anything outside that range raises.  The exact mode exists to
+anchor the numeric one.
 """
 
 from __future__ import annotations
@@ -161,10 +161,7 @@ def project(spec: GasketSpec, direction: Direction) -> ExactProjection | Numeric
     if direction.slope is not None:
         return _project_exact(spec, direction.slope)
     starts, ends = _project_numeric(_anchor_columns(spec.depth), spec.depth, direction.angle)
-    return NumericProjection(
-        parts=tuple(zip(starts.tolist(), ends.tolist())),
-        measure=math.fsum((ends - starts).tolist()),
-    )
+    return NumericProjection(parts=tuple(zip(starts.tolist(), ends.tolist())), measure=_exact_sum(ends - starts))
 
 
 def _project_exact(spec: GasketSpec, slope: Fraction) -> ExactProjection:
@@ -364,24 +361,30 @@ class ExpBoundRow:
     integral: float
     bound: float
     ratio: float
+    ok: bool
 
 
 def lemma2_check(p: float, n_values: Iterable[float]) -> list[ExpBoundRow]:
     """Ratios of the singular integral to its claimed e^n n^-p envelope.
 
     The ratios stay finite and drift down toward 1 as n grows, which is
-    the testable content of the bound.
+    the testable content of the bound: a row is ok when its ratio is
+    finite, positive and not above the previous row's.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"exponent p must lie in (0, 1), got {p}")
     rows = []
+    previous = math.inf
     for n in n_values:
         n = float(n)
         if n <= 0:
             raise ValueError(f"grid value {n} must be positive")
         integral = _singular_exp_integral(n, p)
         bound = math.exp(n) * n**-p
-        rows.append(ExpBoundRow(n=n, integral=integral, bound=bound, ratio=integral / bound))
+        ratio = integral / bound
+        ok = math.isfinite(ratio) and 0 < ratio <= previous
+        rows.append(ExpBoundRow(n=n, integral=integral, bound=bound, ratio=ratio, ok=ok))
+        previous = ratio
     return rows
 
 

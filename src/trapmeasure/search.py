@@ -31,7 +31,6 @@ import itertools
 import math
 import os
 import random
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,8 +52,6 @@ from .trapezoid import TrapezoidSpec, area, farey_grid
 # n! beyond this is not desk-scale; an explicit override is required.
 EXHAUSTIVE_GUARD = 10
 
-WORKERS_ENV_VAR = "TRAPMEASURE_THREADS"
-
 # contiguous rank ranges per worker in a parallel exhaustive search
 RANGES_PER_WORKER = 32
 
@@ -71,23 +68,13 @@ HEURISTIC_GRID_MAX_N = 34
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Explicit argument, else the environment override, else the number of
-    CPUs this process may run on (its affinity mask where the platform has
-    one, so a container pinned to 2 CPUs gets 2 workers, not the host's
-    count)."""
+    """Explicit argument, else the number of CPUs this process may run on
+    (its affinity mask where the platform has one, so a container pinned to
+    2 CPUs gets 2 workers, not the host's count)."""
     if workers is not None:
         if workers < 1:
             raise ValueError(f"worker count must be positive, got {workers}")
         return workers
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"{WORKERS_ENV_VAR}={env!r} is not an integer") from None
-        if value < 1:
-            raise ValueError(f"{WORKERS_ENV_VAR} must be positive, got {value}")
-        return value
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -107,7 +94,6 @@ class AlphaRecord:
     argmin: Permutation
     mode: str
     perms_evaluated: int
-    wall_time: float
 
 
 # enumeration blocks hold every order of the last (up to) six entries
@@ -245,7 +231,6 @@ def alpha_exhaustive(
         raise ValueError(
             f"n={n} means {n}! exact sweeps; pass force=True if you really want this"
         )
-    started = time.perf_counter()
     worker_count = resolve_workers(workers)
     total = math.factorial(n)
     worker_count = min(worker_count, total)
@@ -276,7 +261,6 @@ def alpha_exhaustive(
         argmin=Permutation(best_image),
         mode="exhaustive",
         perms_evaluated=evaluated,
-        wall_time=time.perf_counter() - started,
     )
 
 
@@ -305,7 +289,6 @@ def alpha_heuristic(n: int, budget: int, seed: int) -> AlphaRecord:
     """
     if n < 2:
         raise ValueError(f"heuristic search needs n >= 2, got {n}")
-    started = time.perf_counter()
     seeds = []
     for candidate in (identity(n), reversal(n), composite_permutation(n)):
         if candidate.image not in seeds:
@@ -382,7 +365,6 @@ def alpha_heuristic(n: int, budget: int, seed: int) -> AlphaRecord:
         argmin=Permutation(best_image),
         mode="heuristic",
         perms_evaluated=len(evaluated),
-        wall_time=time.perf_counter() - started,
     )
 
 

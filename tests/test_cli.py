@@ -324,29 +324,31 @@ class TestNamedPermutations:
 
 
 class TestWorkerEnvVar:
-    def test_env_respected(self, capsys, monkeypatch):
-        monkeypatch.setenv("TRAPMEASURE_THREADS", "1")
-        assert main(["alpha", "--n", "3"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["alpha"] == "2/3"
-
-    def test_flag_beats_env(self, capsys, monkeypatch):
+    def test_junk_variable_is_ignored(self, capsys, monkeypatch):
+        # no environment variable sets the worker count, with or without --workers
         monkeypatch.setenv("TRAPMEASURE_THREADS", "junk")
-        # the flag short-circuits env parsing entirely
-        assert main(["alpha", "--n", "2", "--workers", "1"]) == 0
+        for argv in (["alpha", "--n", "3"], ["alpha", "--n", "3", "--workers", "1"]):
+            assert main(argv) == 0
+            assert '"alpha": "2/3"' in capsys.readouterr().out
 
-    def test_bad_env_is_invalid_input(self, capsys, monkeypatch):
-        monkeypatch.setenv("TRAPMEASURE_THREADS", "junk")
-        assert main(["alpha", "--n", "2"]) == 1
+
+class TestRemovedFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["alpha", "--n", "3", "--no-symmetry"],
+            ["alpha", "--n", "3", "--timing"],
+            ["alpha-scan", "--max-n", "3", "--timing"],
+        ],
+    )
+    def test_rejected_as_unrecognised(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
 
 
 class TestTimingFlag:
-    def test_timing_adds_wall_time(self, capsys):
-        main(["alpha", "--n", "2", "--workers", "1", "--timing"])
-        payload = json.loads(capsys.readouterr().out)
-        assert "wall_time_s" in payload
-        assert payload["wall_time_s"] >= 0
-
     def test_default_omits_wall_time(self, capsys):
         main(["alpha", "--n", "2", "--workers", "1"])
         payload = json.loads(capsys.readouterr().out)
@@ -401,14 +403,22 @@ class TestNarrowedParser:
     @pytest.mark.parametrize("path", HELP_PATHS, ids=lambda path: " ".join(path) or "top")
     def test_same_help(self, path, capsys):
         argv = [*path, "--help"]
-        texts = []
-        for run in (lambda: main(argv), lambda: build_parser().parse_args(argv)):
-            with pytest.raises(SystemExit) as info:
-                run()
-            assert info.value.code == 0
-            texts.append(capsys.readouterr().out)
-        assert texts[0] == texts[1]
-        assert texts[0].startswith("usage: trapmeasure")
+        # main returns 0 after help; only the bare parser exits
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(argv)
+        assert info.value.code == 0
+        assert capsys.readouterr().out == text
+        assert text.startswith("usage: trapmeasure")
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_app_exits_zero_after_help(self, flag, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["trapmeasure", "verify", flag])
+        with pytest.raises(SystemExit) as info:
+            cli_module.app()
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: trapmeasure verify")
 
     def test_table_names_are_the_full_choices(self):
         assert list(cli_module._COMMANDS) == list(FULL)

@@ -312,6 +312,15 @@ class TestMeasureOnlyPaths:
                 assert row.ratio == (float(lhs) / rhs if rhs else math.inf)
                 assert row.ok == (float(lhs) <= rhs + 1e-9)
 
+    @pytest.mark.parametrize("depth", range(9))
+    def test_projection_measure_is_the_measure_only_sum(self, depth):
+        # project reports the same double favard and lemma1_check read
+        rng = random.Random(100 + depth)
+        spec = GasketSpec(depth)
+        for theta in [0.0, math.pi / 2, 3.0] + [rng.uniform(0.0, math.pi) for _ in range(32)]:
+            expected = _numeric_measure(_anchor_columns(depth), depth, theta)
+            assert project(spec, Direction.from_angle(theta)).measure == expected
+
 
 class TestLemma1FiniteDepth:
     @given(
@@ -396,7 +405,32 @@ class TestLemma1:
             lemma1_check(1, [F(3, 2)])
 
 
+# integral of exp(x) x^-1/2 over [0, n] and its ratio to exp(n) n^-1/2, at
+# 50 digits, by quadrature and by the series n^(1-p) sum n^k / (k! (k+1-p))
+# (both agree to every digit kept here)
+LEMMA2_REFERENCE = {
+    5: ("76.79622420532206245394", "1.1570508894007744164"),
+    10: ("7388.538193810818455267", "1.060751619858032897"),
+    20: ("111433109.9370451358566", "1.0271635769461138309"),
+    40: ("37701543586026899.34972", "1.013000946388940878"),
+}
+
+
 class TestLemma2:
+    def test_matches_high_precision_reference(self):
+        rows = lemma2_check(0.5, list(LEMMA2_REFERENCE))
+        for row, (integral, ratio) in zip(rows, LEMMA2_REFERENCE.values(), strict=True):
+            assert row.integral == pytest.approx(float(integral), rel=1e-12, abs=0)
+            assert row.ratio == pytest.approx(float(ratio), rel=1e-12, abs=0)
+            assert row.ok
+
+    def test_rising_ratio_is_flagged(self):
+        # the ratio falls with n, so taking n = 5 after n = 40 raises it
+        first, second = lemma2_check(0.5, [40, 5])
+        assert first.ok
+        assert second.ratio > first.ratio
+        assert not second.ok
+
     def test_pinned_grid_ratios(self):
         rows = lemma2_check(0.5, [5, 10, 20, 40])
         ratios = [row.ratio for row in rows]

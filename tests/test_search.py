@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import random
@@ -28,38 +29,39 @@ F = Fraction
 
 
 class TestResolveWorkers:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("TRAPMEASURE_THREADS", "5")
+    def test_explicit_wins(self):
         assert resolve_workers(3) == 3
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("TRAPMEASURE_THREADS", "5")
-        assert resolve_workers(None) == 5
-
-    def test_env_validation(self, monkeypatch):
-        monkeypatch.setenv("TRAPMEASURE_THREADS", "zero")
-        with pytest.raises(ValueError):
-            resolve_workers(None)
-        monkeypatch.setenv("TRAPMEASURE_THREADS", "0")
-        with pytest.raises(ValueError):
-            resolve_workers(None)
-
-    def test_default_positive(self, monkeypatch):
-        monkeypatch.delenv("TRAPMEASURE_THREADS", raising=False)
+    def test_default_positive(self):
         assert resolve_workers(None) >= 1
 
     def test_default_follows_cpu_affinity(self, monkeypatch):
         # a process pinned to one CPU of a 64-core host gets one worker
-        monkeypatch.delenv("TRAPMEASURE_THREADS", raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert resolve_workers(None) == 1
 
     def test_default_without_affinity_uses_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("TRAPMEASURE_THREADS", raising=False)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert resolve_workers(None) == 64
+
+    def test_environment_sets_nothing(self, monkeypatch):
+        # the worker count comes from the argument or the CPUs alone
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        for value in ("5", "0", "junk"):
+            monkeypatch.setenv("TRAPMEASURE_THREADS", value)
+            assert resolve_workers(None) == 2
+
+    def test_record_has_no_wall_time(self):
+        # every field of a search result is determined by its inputs
+        assert [f.name for f in dataclasses.fields(search.AlphaRecord)] == [
+            "n",
+            "alpha",
+            "argmin",
+            "mode",
+            "perms_evaluated",
+        ]
 
 
 class TestExhaustive:
