@@ -58,21 +58,15 @@ class DigitSetSpec:
                 raise ValueError(f"digit {d} outside [0, 2]")
 
 
-def _anchor_ints(spec: DigitSetSpec) -> tuple[list[int], int]:
-    """Anchors as sorted integers over the common denominator q * 3^depth."""
+def anchor_points(spec: DigitSetSpec) -> tuple[Rational, ...]:
+    """All depth-n digit sums, sorted, duplicates collapsed."""
     q = math.lcm(*(d.denominator for d in spec.digits))
     digit_ints = sorted({int(d * q) for d in spec.digits})
     anchors = {0}
     for k in range(1, spec.depth + 1):
         weight = 3 ** (spec.depth - k)
         anchors = {a + d * weight for a in anchors for d in digit_ints}
-    return sorted(anchors), q * 3**spec.depth
-
-
-def anchor_points(spec: DigitSetSpec) -> tuple[Rational, ...]:
-    """All depth-n digit sums, sorted, duplicates collapsed."""
-    ints, scale = _anchor_ints(spec)
-    return tuple(Fraction(a, scale) for a in ints)
+    return tuple(Fraction(a, q * 3**spec.depth) for a in sorted(anchors))
 
 
 def partial_cantor(spec: DigitSetSpec) -> IntervalUnion:
@@ -121,17 +115,12 @@ def cantor_measure_closed(t: RationalLike) -> Rational:
 def slice_measure_closed(t: RationalLike) -> Rational:
     """Limit measure of the full trapezoid slice at height t.
 
-    The slice set is the {0, 1, (2-t)/(1+t)} Cantor set scaled by 1+t, so
-    the measure is (1+t)/q when (2-t)/(1+t) = p/q in lowest terms with
-    p + q divisible by 3, else 0.
+    The slice set is the {0, 1, (2-t)/(1+t)} Cantor set scaled by 1+t.
     """
     t = as_rational(t)
     if not 0 <= t <= 1:
         raise ValueError(f"slice height {t} outside [0, 1]")
-    ratio = (2 - t) / (1 + t)
-    if (ratio.numerator + ratio.denominator) % 3 == 0:
-        return (1 + t) / ratio.denominator
-    return Fraction(0)
+    return (1 + t) * cantor_measure_closed((2 - t) / (1 + t))
 
 
 def _base3_expansion(x: Fraction, precision: int) -> tuple[list[int], list[int]]:

@@ -229,6 +229,8 @@ def _cmd_alpha_scan(args) -> _Output:
 
 
 def _cmd_sigma3(args) -> _Output:
+    if args.max_m < 1:
+        raise CliError(f"--max-m must be at least 1, got {args.max_m}")
     # refused before any area; capping the exponent keeps the check cheap
     if 3 ** min(args.max_m, 63) > trap_mod.SLOPE_MAX_N:
         raise CliError(

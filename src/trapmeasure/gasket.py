@@ -8,9 +8,9 @@ projection measure over all directions gives the Favard (Buffon needle)
 value, which decays as the depth grows.
 
 Directions come in two flavours: an exact rational slope, for which the
-projected set is computed entirely in integers over slope.denominator *
-3^depth up to a single cosine rescale (every union is integers over one
-scale; Fractions only when read), and a floating angle, for which
+projected set is a scaled digit set of ``cantor.partial_cantor``, built
+in integers up to a single cosine rescale (every union is integers over
+one scale; Fractions only when read), and a floating angle, for which
 endpoints are doubles merged with a depth-scaled tolerance.  In angle
 mode every triangle's interval is its projected anchor plus one fixed
 offset pair, so a single sort of the anchors orders both endpoint arrays
@@ -31,6 +31,7 @@ anchor the numeric one.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -38,10 +39,13 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .cantor import slice_set
-from .exact import IntervalUnion, Rational, RationalLike, as_rational, merge_ints
+from .cantor import DigitSetSpec, partial_cantor, slice_set
+from .exact import IntervalUnion, Rational, RationalLike, as_rational
 
 GASKET_DEPTH_CAP = 8
+
+# interval halvings before adaptive Simpson accepts a panel unconverged
+_SIMPSON_MAX_DEPTH = 48
 
 _DIGIT_VECTORS = ((0, 0), (2, 0), (0, 2))
 
@@ -92,27 +96,18 @@ class Direction:
         return cls(angle=float(angle))
 
 
-def _anchor_ints(depth: int) -> list[tuple[int, int]]:
-    """Triangle anchors as integer pairs over 3^depth, in digit-enumeration order."""
-    anchors = [(0, 0)]
-    for k in range(1, depth + 1):
-        weight = 3 ** (depth - k)
-        anchors = [
-            (x + vx * weight, y + vy * weight)
-            for x, y in anchors
-            for vx, vy in _DIGIT_VECTORS
-        ]
-    return anchors
-
-
 def gasket_anchors(spec: GasketSpec) -> tuple[tuple[Rational, Rational], ...]:
     """Lower-left corners of all generation-depth triangles.
 
     Emitted in digit-enumeration order, (0,0) branch first, so the output
     is deterministic; all 3^depth anchors are distinct.
     """
+    anchors = [(0, 0)]
+    for k in range(1, spec.depth + 1):
+        weight = 3 ** (spec.depth - k)
+        anchors = [(x + vx * weight, y + vy * weight) for x, y in anchors for vx, vy in _DIGIT_VECTORS]
     scale = 3**spec.depth
-    return tuple((Fraction(x, scale), Fraction(y, scale)) for x, y in _anchor_ints(spec.depth))
+    return tuple((Fraction(x, scale), Fraction(y, scale)) for x, y in anchors)
 
 
 @lru_cache(maxsize=GASKET_DEPTH_CAP + 1)
@@ -165,13 +160,14 @@ def project(spec: GasketSpec, direction: Direction) -> ExactProjection | Numeric
 
 
 def _project_exact(spec: GasketSpec, slope: Fraction) -> ExactProjection:
-    # with slope u/v and anchor (x, y)/3^depth, triangle i sweeps
-    # [x v + y u, x v + y u + max(u, v)] over v * 3^depth
+    # slope u/v sends the digit vectors to the digits 0, 2v, 2u over v, and
+    # each triangle to [s, s + w 3^-depth] over v, with s its anchor's digit
+    # sum and w = max(u, v): the digit set {0, 2v/w, 2u/w} scaled by w/v
     u, v = slope.numerator, slope.denominator
-    width = max(u, v)
-    lo, hi = merge_ints((x * v + y * u, x * v + y * u + width) for x, y in _anchor_ints(spec.depth))
-    cosine = 1.0 / math.sqrt(1.0 + float(slope) ** 2)
-    return ExactProjection(scaled_set=IntervalUnion(lo, hi, v * 3**spec.depth), cosine=cosine)
+    w = max(u, v)
+    union = partial_cantor(DigitSetSpec(spec.depth, (0, Fraction(2 * v, w), Fraction(2 * u, w))))
+    scaled = IntervalUnion(tuple(a * w for a in union.lo), tuple(b * w for b in union.hi), union.scale * v)
+    return ExactProjection(scaled_set=scaled, cosine=1.0 / math.sqrt(1.0 + float(slope) ** 2))
 
 
 def _project_numeric(
@@ -304,9 +300,7 @@ def lemma1_check(depth: int, t_grid: Sequence[RationalLike]) -> list[SliceBoundR
     return rows
 
 
-def _adaptive_simpson(
-    f: Callable[[float], float], a: float, b: float, tol: float, max_depth: int = 48
-) -> float:
+def _adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
     """Classic recursive Simpson with the 15x error heuristic."""
 
     def simp(fa: float, fm: float, fb: float, a: float, b: float) -> float:
@@ -330,7 +324,7 @@ def _adaptive_simpson(
     fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
     fm = f(m)
-    return rec(a, b, fa, fm, fb, simp(fa, fm, fb, a, b), tol, max_depth)
+    return rec(a, b, fa, fm, fb, simp(fa, fm, fb, a, b), tol, _SIMPSON_MAX_DEPTH)
 
 
 def _singular_exp_integral(n: float, p: float) -> float:
@@ -373,12 +367,18 @@ def lemma2_check(p: float, n_values: Iterable[float]) -> list[ExpBoundRow]:
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"exponent p must lie in (0, 1), got {p}")
-    rows = []
-    previous = math.inf
-    for n in n_values:
-        n = float(n)
+    grid = [float(n) for n in n_values]
+    for n in grid:
         if n <= 0:
             raise ValueError(f"grid value {n} must be positive")
+        # exp overflows past ln(largest double), about 709.78, and the Simpson
+        # sums on [1, n] reach 6 e^n n^-p, where an infinite one never
+        # converges; 8 (a power of two, so exact) leaves room for rounding
+        if n > math.log(sys.float_info.max) or not math.isfinite(math.exp(n) * n**-p * 8):
+            raise ValueError(f"grid value {n}: 8 e^n n^-p overflows a double")
+    rows = []
+    previous = math.inf
+    for n in grid:
         integral = _singular_exp_integral(n, p)
         bound = math.exp(n) * n**-p
         ratio = integral / bound

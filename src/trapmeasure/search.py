@@ -8,9 +8,9 @@ rest, pooled over consecutive blocks into batches of ``_KERNEL_ROWS``,
 with the exact integer kernel of ``trapezoid.FareyGrid``; each range's
 winner is checked against the exact sweep.  With several workers it
 cuts the lexicographic rank space into many small contiguous ranges,
-about 32 per worker, that a process pool hands out as workers free up;
-the reduction runs in rank order, so results are identical for any
-worker count.  Searches of fewer than
+about 32 per worker, that a process pool of at most one process per CPU
+hands out as workers free up; the reduction runs in rank order, so
+results are identical for any worker count.  Searches of fewer than
 ``POOL_MIN_RANKS`` ranks (n <= 8) take less time than starting the pool
 and run in this process.  Exactness bounds n to 15:
 beyond it the base-(n+1) row codes of the filter overflow int64.  The
@@ -244,7 +244,8 @@ def alpha_exhaustive(
             (n, total * i // ranges, total * (i + 1) // ranges, use_symmetry)
             for i in range(ranges)
         ]
-        with ProcessPoolExecutor(max_workers=worker_count) as pool:
+        # the pool forks all its workers at once, so never more than the CPUs
+        with ProcessPoolExecutor(max_workers=min(worker_count, resolve_workers())) as pool:
             results = list(pool.map(_range_champion, jobs))
     best_area: Fraction | None = None
     best_image: tuple[int, ...] | None = None

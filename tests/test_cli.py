@@ -266,6 +266,13 @@ class TestExitCodes:
         assert time.perf_counter() - started < 5
         assert "the largest n exact area accepts" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("max_m", ["0", "-1"])
+    def test_sigma3_without_rows_exits_one(self, capsys, max_m):
+        assert main(["sigma3", "--max-m", max_m]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--max-m must be at least 1" in captured.err
+
     @pytest.mark.parametrize("limits", [["11", "11"], ["12", "11"], ["11", "40"]])
     def test_alpha_scan_past_the_guard_exits_at_once(self, capsys, monkeypatch, limits):
         import trapmeasure.search as search_module
@@ -290,6 +297,13 @@ class TestExitCodes:
     def test_unparsable_lemma2_n_value(self, capsys, n_values):
         assert main(["verify", "lemma2", "--n-values", n_values]) == 1
         assert capsys.readouterr().err.startswith("error: cannot parse rational")
+
+    def test_lemma2_past_double_range_exits_one(self, capsys):
+        # e^710 overflows a double: refused as input, not an internal failure
+        assert main(["verify", "lemma2", "--n-values", "5,710"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: grid value 710.0")
 
     def test_verify_violation_exits_three(self, capsys):
         assert main(["verify", "lemma1", "--depths", "1", "--t-points", "3"]) == 3

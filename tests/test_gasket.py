@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from trapmeasure import gasket
 from trapmeasure.cantor import slice_set
 from trapmeasure.exact import Interval, normalize
 from trapmeasure.gasket import (
@@ -89,9 +90,14 @@ class TestProjection:
         assert [(p.lo, p.hi) for p in proj.scaled_set.parts] == [(0, 1)]
         assert proj.measure == pytest.approx(2 / math.sqrt(5), abs=1e-12)
 
-    @pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
-    @pytest.mark.parametrize("slope", [F(1, 3), F(1, 2), F(1), F(3, 2), F(2), F(5)])
+    @pytest.mark.parametrize("depth", range(GASKET_DEPTH_CAP + 1))
+    @pytest.mark.parametrize(
+        "slope",
+        [F(1, 3), F(1, 2), F(1), F(3, 2), F(2), F(5), F(3, 7), F(7, 3), F(1, 1000), F(999, 1000), F(5, 4), F(13)],
+    )
     def test_exact_and_numeric_agree(self, depth, slope):
+        # the exact projection is a scaled digit set; the reference here
+        # sweeps every anchor's triangle and merges them
         spec = GasketSpec(depth)
         exact = project(spec, Direction.from_slope(slope))
         width = max(F(1), slope) / 3**depth
@@ -453,6 +459,22 @@ class TestLemma2:
     def test_rejects_nonpositive_grid(self):
         with pytest.raises(ValueError):
             lemma2_check(0.5, [0])
+
+    def test_rejects_grid_past_double_range(self, monkeypatch):
+        # e^n overflows past n ~ 709.78; at small p the Simpson sums overflow
+        # (and never converge) a little earlier
+        for p, n in [(0.5, 710), (0.5, 1e6), (0.5, math.inf), (0.5, math.nan), (0.01, 709)]:
+            with pytest.raises(ValueError, match="overflows a double"):
+                lemma2_check(p, [n])
+        assert lemma2_check(0.5, [709.78])[0].ok
+
+        def no_quadrature(*args):
+            raise AssertionError("quadrature started")
+
+        # the whole grid is checked before the quadrature of its first value
+        monkeypatch.setattr(gasket, "_singular_exp_integral", no_quadrature)
+        with pytest.raises(ValueError, match="overflows a double"):
+            lemma2_check(0.5, [5, 710])
 
 
 class TestDecayFit:

@@ -128,6 +128,21 @@ class TestExhaustive:
         with pytest.raises(AssertionError, match="process pool started"):
             alpha_exhaustive(9, workers=2)
 
+    def test_pool_never_exceeds_the_cpus(self, monkeypatch):
+        # the pool forks every worker at once, so a huge request must not
+        # reach it; the stand-in records the size and starts nothing
+        sizes = []
+
+        def recording_pool(max_workers):
+            sizes.append(max_workers)
+            raise RuntimeError("stand-in pool")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(search, "ProcessPoolExecutor", recording_pool)
+        with pytest.raises(RuntimeError, match="stand-in pool"):
+            alpha_exhaustive(9, workers=64)
+        assert sizes == [2]
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_range_champion_is_least_minimizer(self, n):
         # ranges of n >= 4 hold tied minima, within and across blocks
