@@ -81,6 +81,13 @@ def _parse_rational(text: str) -> Fraction:
         raise CliError(f"cannot parse rational {text!r}") from None
 
 
+def _parse_double(text: str) -> float:
+    try:
+        return float(_parse_rational(text))
+    except OverflowError:
+        raise CliError(f"{text!r} is too large for a double") from None
+
+
 def _parse_perm(text: str, n: int) -> Permutation:
     if text == "identity":
         return identity(n)
@@ -376,8 +383,8 @@ def _cmd_verify_lemma1(args) -> _Output:
 
 
 def _cmd_verify_lemma2(args) -> _Output:
-    p = float(_parse_rational(args.p))
-    n_values = [float(_parse_rational(part)) for part in args.n_values.split(",")]
+    p = _parse_double(args.p)
+    n_values = [_parse_double(part) for part in args.n_values.split(",")]
     rows = gasket_mod.lemma2_check(p, n_values)
     return _verify_output(
         ["p", "n", "integral", "bound", "ratio", "ok"],

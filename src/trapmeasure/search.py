@@ -31,7 +31,6 @@ import itertools
 import math
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -56,9 +55,9 @@ EXHAUSTIVE_GUARD = 10
 RANGES_PER_WORKER = 32
 
 # below this many ranks the search runs in this process whatever the worker
-# count: on 2 cores 8! ranks take about 0.02 s, less than starting a process
-# pool (0.05-0.1 s), while 9! ranks take about 0.13 s either way and 10!
-# about 1.2 s alone and 0.8 s on two
+# count: on 2 cores 8! ranks take about 0.02 s, against 0.08 s on a 2-worker
+# pool whose first use also imports the process machinery, while 9! ranks
+# take 0.11-0.15 s either way and 10! about 1.6 s alone and 0.8 s on two
 POOL_MIN_RANKS = 100_000
 
 # largest n whose heuristic scores each neighbourhood in one Farey-grid call;
@@ -231,12 +230,16 @@ def alpha_exhaustive(
         raise ValueError(
             f"n={n} means {n}! exact sweeps; pass force=True if you really want this"
         )
-    worker_count = resolve_workers(workers)
     total = math.factorial(n)
-    worker_count = min(worker_count, total)
+    # the pool forks all its workers at once, so never more than the CPUs
+    worker_count = min(resolve_workers(workers), resolve_workers(), total)
     if worker_count == 1 or total < POOL_MIN_RANKS:
         results = [_range_champion((n, 0, total, use_symmetry))]
     else:
+        # imported here so that a search that never forks loads no
+        # process machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         # symmetry pruning keeps far more of the low ranks, so many small
         # ranges handed out on demand balance the load across workers
         ranges = min(total, RANGES_PER_WORKER * worker_count)
@@ -244,8 +247,7 @@ def alpha_exhaustive(
             (n, total * i // ranges, total * (i + 1) // ranges, use_symmetry)
             for i in range(ranges)
         ]
-        # the pool forks all its workers at once, so never more than the CPUs
-        with ProcessPoolExecutor(max_workers=min(worker_count, resolve_workers())) as pool:
+        with ProcessPoolExecutor(max_workers=worker_count) as pool:
             results = list(pool.map(_range_champion, jobs))
     best_area: Fraction | None = None
     best_image: tuple[int, ...] | None = None

@@ -1,5 +1,7 @@
 import argparse
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -305,6 +307,14 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: grid value 710.0")
 
+    @pytest.mark.parametrize("flags", [["--p", "1e400"], ["--n-values", "5,1e400"]])
+    def test_lemma2_value_past_a_double_exits_one(self, capsys, flags):
+        # float() of the parsed Fraction overflows: refused as input
+        assert main(["verify", "lemma2", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: '1e400' is too large for a double")
+
     def test_verify_violation_exits_three(self, capsys):
         assert main(["verify", "lemma1", "--depths", "1", "--t-points", "3"]) == 3
 
@@ -464,3 +474,17 @@ class TestNarrowedParser:
         assert main() == 0
         assert capsys.readouterr().out == (GOLDEN_DIR / "area_3_132.txt").read_text()
         assert [list(_subcommands(parser)) for parser in built] == [["area"]]
+
+
+class TestColdImport:
+    def test_cli_import_loads_no_process_machinery(self):
+        # only a forking search needs the process pool; a fresh interpreter
+        # that imports the CLI has not loaded it
+        src = Path(cli_module.__file__).resolve().parents[1]
+        code = (
+            "import sys, trapmeasure.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert result.stdout == "[]\n"

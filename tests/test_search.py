@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import math
 import os
@@ -64,6 +65,39 @@ class TestResolveWorkers:
         ]
 
 
+class InProcessPool:
+    """Stand-in for ``ProcessPoolExecutor`` that maps the ranges in this
+    process and records each pool's size and jobs."""
+
+    def __init__(self):
+        self.sizes: list[int] = []
+        self.jobs: list[list[tuple]] = []
+
+    def __call__(self, max_workers):
+        self.sizes.append(max_workers)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        self.jobs.append(list(jobs))
+        return map(fn, self.jobs[-1])
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Every search forks on 8 CPUs, through the stand-in pool."""
+    pool = InProcessPool()
+    monkeypatch.setattr(search, "POOL_MIN_RANKS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    return pool
+
+
 class TestExhaustive:
     def test_trivial_single_square(self):
         record = alpha_exhaustive(1, workers=1)
@@ -93,35 +127,41 @@ class TestExhaustive:
         assert pruned.argmin == full.argmin
         assert pruned.perms_evaluated <= full.perms_evaluated
 
-    def test_worker_determinism(self, monkeypatch):
-        monkeypatch.setattr(search, "POOL_MIN_RANKS", 0)
+    def test_worker_determinism(self, in_process_pool):
         single = alpha_exhaustive(5, workers=1)
         split = alpha_exhaustive(5, workers=3)
+        assert in_process_pool.sizes == [3]
         assert single.alpha == split.alpha
         assert single.argmin == split.argmin
         assert single.perms_evaluated == split.perms_evaluated
 
-    def test_range_split_independent_of_worker_count(self, monkeypatch):
-        monkeypatch.setattr(search, "POOL_MIN_RANKS", 0)
+    def test_range_split_independent_of_worker_count(self, in_process_pool):
         for n in (7, 8):
             records = [alpha_exhaustive(n, workers=w) for w in (1, 2, 5)]
             for record in records[1:]:
                 assert record.alpha == records[0].alpha
                 assert record.argmin == records[0].argmin
                 assert record.perms_evaluated == records[0].perms_evaluated
+        assert in_process_pool.sizes == [2, 5, 2, 5]
+        assert [len(jobs) for jobs in in_process_pool.jobs] == [64, 160, 64, 160]
 
-    def test_ranges_tile_rank_space_once(self, monkeypatch):
-        monkeypatch.setattr(search, "POOL_MIN_RANKS", 0)
+    def test_ranges_tile_rank_space_once(self, in_process_pool):
         record = alpha_exhaustive(6, use_symmetry=False, workers=4)
         assert record.perms_evaluated == 720
         record = alpha_exhaustive(7, use_symmetry=False, workers=4)
         assert record.perms_evaluated == 5040
+        assert in_process_pool.sizes == [4, 4]
+        for jobs, total in zip(in_process_pool.jobs, (720, 5040)):
+            assert len(jobs) == 128
+            cuts = [(start, stop) for _, start, stop, _ in jobs]
+            assert [start for start, _ in cuts] == [0] + [stop for _, stop in cuts[:-1]]
+            assert cuts[-1][1] == total
 
     def test_small_search_starts_no_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("process pool started")
 
-        monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         assert math.factorial(8) < search.POOL_MIN_RANKS <= math.factorial(9)
         record = alpha_exhaustive(8, workers=2)
         assert (record.alpha, record.perms_evaluated) == (F(9, 16), 10_558)
@@ -138,10 +178,19 @@ class TestExhaustive:
             raise RuntimeError("stand-in pool")
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(search, "ProcessPoolExecutor", recording_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
         with pytest.raises(RuntimeError, match="stand-in pool"):
             alpha_exhaustive(9, workers=64)
         assert sizes == [2]
+
+    def test_ranges_follow_the_pool_size(self, in_process_pool, monkeypatch):
+        # 64 workers asked of 2 CPUs: 2 workers' worth of ranges, not 2,048
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        record = alpha_exhaustive(9, workers=64)
+        assert in_process_pool.sizes == [2]
+        assert len(in_process_pool.jobs[0]) == 2 * search.RANGES_PER_WORKER
+        assert record == alpha_exhaustive(9, workers=2)
+        assert (record.alpha, record.argmin, record.perms_evaluated) == (F(5, 9), reversal(9), 92_126)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_range_champion_is_least_minimizer(self, n):
