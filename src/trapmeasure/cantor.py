@@ -20,17 +20,12 @@ stated and tested for consistency against the finite stages, not derived.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import IntervalUnion, Rational, RationalLike, as_rational, merge_ints
 
 DEPTH_CAP = 12
-
-
-class BoundaryImageWarning(UserWarning):
-    """Digit swap produced a non-canonical digit stream (trailing 2s)."""
 
 
 @dataclass(frozen=True)
@@ -122,67 +117,3 @@ def slice_measure_closed(t: RationalLike) -> Rational:
         raise ValueError(f"slice height {t} outside [0, 1]")
     return (1 + t) * cantor_measure_closed((2 - t) / (1 + t))
 
-
-def _base3_expansion(x: Fraction, precision: int) -> tuple[list[int], list[int]]:
-    """Canonical base-3 digits of x in [0, 1) as (preperiod, period).
-
-    Long division with cycle detection on remainders; terminating
-    expansions come out with period (0,), and the greedy division never
-    produces a trailing-2s stream, so the result is canonical.
-    """
-    num, den = x.numerator, x.denominator
-    digits: list[int] = []
-    seen: dict[int, int] = {}
-    r = num
-    while r not in seen:
-        seen[r] = len(digits)
-        if len(digits) >= precision:
-            raise ValueError(
-                f"expansion of {x} needs more than {precision} digits; raise precision"
-            )
-        d, r = divmod(3 * r, den)
-        digits.append(d)
-    start = seen[r]
-    return digits[:start], digits[start:]
-
-
-def digit_swap_real(x: RationalLike, precision: int = 256) -> Rational:
-    """Swap digits 1 and 2 in the canonical base-3 expansion of x in [0, 1].
-
-    Exact for rationals via preperiod/period manipulation; ``precision``
-    caps how many digits the expansion may need before repeating.  When
-    the swapped stream is non-canonical (all-2s period, e.g. x = 1/2 maps
-    to 0.222... = 1) the carried value is returned and a
-    BoundaryImageWarning is emitted; 1 itself is treated as the fixed
-    point of the empty digit stream, with the same warning.
-    """
-    if precision < 1:
-        raise ValueError(f"precision must be positive, got {precision}")
-    x = as_rational(x)
-    if not 0 <= x <= 1:
-        raise ValueError(f"argument {x} outside [0, 1]")
-    if x == 1:
-        warnings.warn(
-            "1 has the alternative stream 0.222... whose swap is 0.111... = 1/2; "
-            "returning the terminating convention's fixed point 1",
-            BoundaryImageWarning,
-            stacklevel=2,
-        )
-        return Fraction(1)
-    pre, period = _base3_expansion(x, precision)
-    pre_swapped = [(2 * d) % 3 for d in pre]
-    period_swapped = [(2 * d) % 3 for d in period]
-    if all(d == 2 for d in period_swapped):
-        warnings.warn(
-            f"digit swap of {x} yields a trailing-2s stream; returning its carried value",
-            BoundaryImageWarning,
-            stacklevel=2,
-        )
-    s, p = len(pre_swapped), len(period_swapped)
-    pre_value = 0
-    for d in pre_swapped:
-        pre_value = 3 * pre_value + d
-    period_value = 0
-    for d in period_swapped:
-        period_value = 3 * period_value + d
-    return Fraction(pre_value * (3**p - 1) + period_value, 3**s * (3**p - 1))

@@ -35,7 +35,15 @@ from . import render as render_mod
 from . import search as search_mod
 from . import trapezoid as trap_mod
 from .exact import measure
-from .permutations import Permutation, composite_permutation, composite_plan, digit_swap_permutation, identity, reversal
+from .permutations import (
+    MAX_DIGIT_SWAP_ORDER,
+    Permutation,
+    composite_permutation,
+    composite_plan,
+    digit_swap_permutation,
+    identity,
+    reversal,
+)
 
 VERIFY_FAILED = 3
 
@@ -96,7 +104,11 @@ def _parse_perm(text: str, n: int) -> Permutation:
     if text == "composite":
         return composite_permutation(n)
     if text.startswith("digit-swap:"):
-        m = int(text.split(":", 1)[1])
+        order = text.split(":", 1)[1]
+        # refused before 3^M is formed, which at M = 10^7 alone takes minutes
+        if not (order.isdecimal() and int(order) <= MAX_DIGIT_SWAP_ORDER):
+            raise CliError(f"digit-swap:M needs an integer M from 0 to {MAX_DIGIT_SWAP_ORDER}, got {order!r}")
+        m = int(order)
         if 3**m != n:
             raise CliError(f"digit-swap:{m} needs n = 3^{m} = {3 ** m}, got n = {n}")
         return digit_swap_permutation(m)
@@ -141,6 +153,7 @@ def _write(args, result: _Output) -> int:
 
 
 def _cmd_area(args) -> _Output:
+    trap_mod.check_area_n(args.n)  # before a permutation of size n is built
     spec = trap_mod.TrapezoidSpec(args.n, _parse_perm(args.perm, args.n))
     value = trap_mod.area(spec)
     return _Output(

@@ -88,10 +88,6 @@ class Direction:
                 raise ValueError(f"angle {self.angle} outside [0, pi)")
 
     @classmethod
-    def from_slope(cls, slope: RationalLike) -> "Direction":
-        return cls(slope=as_rational(slope))
-
-    @classmethod
     def from_angle(cls, angle: float) -> "Direction":
         return cls(angle=float(angle))
 

@@ -277,6 +277,20 @@ def _adjacent_swaps(image: tuple[int, ...], count: int) -> list[tuple[int, ...]]
     return swaps
 
 
+def _seeds(n: int, budget: int) -> list[tuple[int, ...]]:
+    """The distinct images of identity, reversal and composite, in that order.
+
+    The heuristic always evaluates them, so a smaller budget is refused.
+    """
+    seeds = []
+    for candidate in (identity(n), reversal(n), composite_permutation(n)):
+        if candidate.image not in seeds:
+            seeds.append(candidate.image)
+    if budget < len(seeds):
+        raise ValueError(f"budget {budget} is below the {len(seeds)} seed permutations always evaluated")
+    return seeds
+
+
 def alpha_heuristic(n: int, budget: int, seed: int) -> AlphaRecord:
     """Seeded local-search upper bound on the minimum area.
 
@@ -292,14 +306,7 @@ def alpha_heuristic(n: int, budget: int, seed: int) -> AlphaRecord:
     """
     if n < 2:
         raise ValueError(f"heuristic search needs n >= 2, got {n}")
-    seeds = []
-    for candidate in (identity(n), reversal(n), composite_permutation(n)):
-        if candidate.image not in seeds:
-            seeds.append(candidate.image)
-    if budget < len(seeds):
-        raise ValueError(
-            f"budget {budget} is below the {len(seeds)} seed permutations always evaluated"
-        )
+    seeds = _seeds(n, budget)
     rng = random.Random(seed)
     grid = farey_grid(n) if n <= HEURISTIC_GRID_MAX_N else None
     # every value computed so far, speculative ones included; only the
@@ -397,7 +404,11 @@ def alpha_scan(
     """Search n = 1..max_n, exact up to the limit, heuristic beyond."""
     if max_n < 2:
         raise ValueError(f"max_n must be at least 2, got {max_n}")
-    # refused before any search: the scan has no force
+    # every refusal comes before any search; the scan has no force
+    if exhaustive_limit < 1:
+        raise ValueError(f"exhaustive limit must be at least 1, got {exhaustive_limit}")
+    if max_n > exhaustive_limit:
+        _seeds(max_n, budget)  # n = 2 has 2 seeds and every larger n 3
     top = min(max_n, exhaustive_limit)
     if top > EXHAUSTIVE_GUARD:
         raise ValueError(

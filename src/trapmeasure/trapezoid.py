@@ -426,6 +426,12 @@ def _sums_by_denominator(dens: np.ndarray, terms: np.ndarray) -> dict[int, int]:
 SLOPE_MAX_N = 27_554
 
 
+def check_area_n(n: int) -> None:
+    """Refuse an n above ``SLOPE_MAX_N``, the largest n ``area`` accepts."""
+    if n > SLOPE_MAX_N:
+        raise ValueError(f"n={n} is above {SLOPE_MAX_N}, the largest n exact area accepts")
+
+
 @lru_cache(maxsize=256)
 def area(spec: TrapezoidSpec) -> Rational:
     """Exact two-dimensional measure of the trapezoid, in [1/n, 1].
@@ -441,8 +447,7 @@ def area(spec: TrapezoidSpec) -> Rational:
     ``integrate_plp(slice_profile(spec))``.
     """
     n = spec.n
-    if n > SLOPE_MAX_N:
-        raise ValueError(f"n={n} is above {SLOPE_MAX_N}, the largest n exact area accepts")
+    check_area_n(n)
     nums, dens, _, jumps, last = _sweep(spec)
     if not dens.size:
         return Fraction(2 * n - last, 2 * n)
@@ -654,8 +659,10 @@ def weighted_sum_identity(n: int) -> tuple[Rational, Rational]:
     digit-weighted average (1/n) * sum of x_j * 3^j * area(3^j block),
     assembled from the independent single-block areas.  The two are equal
     because each block is an affine copy occupying x_j * 3^j / n of the
-    width.
+    width.  An n above ``SLOPE_MAX_N`` is refused before the permutation is
+    built.
     """
+    check_area_n(n)
     lhs = area(TrapezoidSpec(n, composite_permutation(n)))
     plan = composite_plan(n)
     top = len(plan.digits) - 1

@@ -5,11 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from trapmeasure.cantor import (
     DEPTH_CAP,
-    BoundaryImageWarning,
     DigitSetSpec,
     anchor_points,
     cantor_measure_closed,
-    digit_swap_real,
     partial_cantor,
     slice_measure_closed,
     slice_set,
@@ -194,39 +192,3 @@ class TestConvergence:
         value = measure(partial_cantor(DigitSetSpec(10, (F(0), F(1), F(1, 2)))))
         assert F(0) < value - F(1, 2) < F(2, 100)
 
-
-class TestDigitSwapReal:
-    def test_one_third_swaps_to_two_thirds(self):
-        assert digit_swap_real(F(1, 3)) == F(2, 3)
-        assert digit_swap_real(F(2, 3)) == F(1, 3)
-
-    def test_zero_fixed_point(self):
-        assert digit_swap_real(F(0)) == 0
-
-    def test_half_carries_with_warning(self):
-        with pytest.warns(BoundaryImageWarning):
-            assert digit_swap_real(F(1, 2)) == 1
-
-    def test_one_flagged(self):
-        with pytest.warns(BoundaryImageWarning):
-            assert digit_swap_real(F(1)) == 1
-
-    def test_rejects_outside_unit_interval(self):
-        with pytest.raises(ValueError):
-            digit_swap_real(F(3, 2))
-
-    def test_precision_guard(self):
-        # 1/23 has a long period; a tiny window must refuse
-        with pytest.raises(ValueError):
-            digit_swap_real(F(1, 23), precision=3)
-
-    @pytest.mark.parametrize(
-        "x",
-        [F(0), F(1, 3), F(2, 3), F(1, 4), F(3, 4), F(1, 13)],
-    )
-    def test_involution_away_from_boundary_cases(self, x):
-        assert digit_swap_real(digit_swap_real(x)) == x
-
-    def test_quarter_maps_to_eighth(self):
-        # 1/4 = 0.020202... -> 0.010101... = 1/8
-        assert digit_swap_real(F(1, 4)) == F(1, 8)

@@ -254,6 +254,36 @@ class TestExitCodes:
         assert time.perf_counter() - started < 5
         assert "the largest n exact area accepts" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("perm", ["identity", "reversal", "composite"])
+    def test_area_past_the_limit_refused_before_the_permutation(self, capsys, monkeypatch, perm):
+        def no_permutation(n):
+            raise RuntimeError("a permutation was built")
+
+        for name in ("identity", "reversal", "composite_permutation"):
+            monkeypatch.setattr(cli_module, name, no_permutation)
+        assert main(["area", "--n", "3000000", "--perm", perm]) == 1
+        assert "the largest n exact area accepts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["sigma-n"], ["verify", "weighted-sum"]])
+    def test_weighted_sum_past_the_limit_refused_before_the_permutation(self, capsys, monkeypatch, argv):
+        def no_permutation(n):
+            raise RuntimeError("a permutation was built")
+
+        monkeypatch.setattr(cli_module.trap_mod, "composite_permutation", no_permutation)
+        assert main([*argv, "--n", "3000000"]) == 1
+        assert "the largest n exact area accepts" in capsys.readouterr().err
+
+    # M = 10^7 is left out: unchecked, forming and printing 3^M runs for minutes
+    @pytest.mark.parametrize("order", ["15", "100000", "-1", "x", ""])
+    def test_digit_swap_order_out_of_range(self, capsys, order):
+        started = time.perf_counter()
+        assert main(["area", "--n", "3", "--perm", f"digit-swap:{order}"]) == 1
+        assert time.perf_counter() - started < 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.encode()) < 200
+        assert f"digit-swap:M needs an integer M from 0 to {cli_module.MAX_DIGIT_SWAP_ORDER}" in captured.err
+
     def test_sigma3_past_the_area_limit_exits_at_once(self, capsys, monkeypatch):
         import trapmeasure.cli as cli_module
 
@@ -290,6 +320,24 @@ class TestExitCodes:
         assert main(["alpha-scan", "--max-n", max_n, "--exhaustive-limit", limit, "--workers", "1"]) == 1
         assert time.perf_counter() - started < 5
         assert "exact sweeps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--max-n", "4", "--exhaustive-limit", "-1"], "exhaustive limit must be at least 1"),
+            (["--max-n", "10", "--exhaustive-limit", "9", "--budget", "1"], "budget 1 is below"),
+        ],
+    )
+    def test_alpha_scan_refuses_its_inputs_before_any_search(self, capsys, monkeypatch, flags, message):
+        import trapmeasure.search as search_module
+
+        def no_search(*args, **kwargs):
+            raise RuntimeError("a search started")
+
+        monkeypatch.setattr(search_module, "alpha_exhaustive", no_search)
+        monkeypatch.setattr(search_module, "alpha_heuristic", no_search)
+        assert main(["alpha-scan", *flags, "--workers", "1"]) == 1
+        assert message in capsys.readouterr().err
 
     def test_budget_below_seed_count(self, capsys):
         assert main(["alpha", "--n", "2", "--heuristic", "--budget", "1", "--seed", "1"]) == 1

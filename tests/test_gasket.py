@@ -45,7 +45,7 @@ class TestSpecAndDirection:
 
     def test_slope_must_be_positive(self):
         with pytest.raises(ValueError):
-            Direction.from_slope(F(-1, 2))
+            Direction(slope=F(-1, 2))
 
     def test_angle_range_and_finiteness(self):
         with pytest.raises(ValueError):
@@ -75,7 +75,7 @@ class TestAnchors:
 
 class TestProjection:
     def test_exact_diagonal_projection_of_unit_triangle(self):
-        proj = project(GasketSpec(0), Direction.from_slope(F(1)))
+        proj = project(GasketSpec(0), Direction(slope=F(1)))
         assert [(p.lo, p.hi) for p in proj.scaled_set.parts] == [(0, 1)]
         assert proj.measure == pytest.approx(math.cos(math.pi / 4), abs=1e-12)
 
@@ -85,7 +85,7 @@ class TestProjection:
         assert proj.parts == ((0.0, 1.0),)
 
     def test_exact_half_slope_depth_one_tiles(self):
-        proj = project(GasketSpec(1), Direction.from_slope(F(1, 2)))
+        proj = project(GasketSpec(1), Direction(slope=F(1, 2)))
         # scaled anchors {0, 2/3, 1/3} with width max(1, 1/2)/3 merge to [0,1]
         assert [(p.lo, p.hi) for p in proj.scaled_set.parts] == [(0, 1)]
         assert proj.measure == pytest.approx(2 / math.sqrt(5), abs=1e-12)
@@ -99,7 +99,7 @@ class TestProjection:
         # the exact projection is a scaled digit set; the reference here
         # sweeps every anchor's triangle and merges them
         spec = GasketSpec(depth)
-        exact = project(spec, Direction.from_slope(slope))
+        exact = project(spec, Direction(slope=slope))
         width = max(F(1), slope) / 3**depth
         shadows = (Interval(x + slope * y, x + slope * y + width) for x, y in gasket_anchors(spec))
         assert exact.scaled_set == normalize(shadows)

@@ -548,3 +548,22 @@ class TestScan:
     def test_rejects_tiny_max(self):
         with pytest.raises(ValueError):
             alpha_scan(1)
+
+    @pytest.mark.parametrize(
+        "max_n, limit, budget, message",
+        [
+            (4, -1, 2000, "exhaustive limit"),
+            (4, 0, 2000, "exhaustive limit"),
+            (10, 9, 1, "budget"),
+            # n = 2 has 2 seeds and n = 3 has 3: the largest n decides
+            (3, 1, 2, "budget"),
+        ],
+    )
+    def test_refused_before_any_search(self, monkeypatch, max_n, limit, budget, message):
+        def no_search(*args, **kwargs):
+            raise RuntimeError("a search started")
+
+        monkeypatch.setattr(search, "alpha_exhaustive", no_search)
+        monkeypatch.setattr(search, "alpha_heuristic", no_search)
+        with pytest.raises(ValueError, match=message):
+            alpha_scan(max_n, exhaustive_limit=limit, budget=budget, seed=0, workers=1)

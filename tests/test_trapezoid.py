@@ -871,6 +871,14 @@ class TestWeightedSum:
         lhs, rhs = weighted_sum_identity(n)
         assert lhs == rhs
 
+    def test_past_the_limit_refused_before_the_permutation(self, monkeypatch):
+        def no_permutation(n):
+            raise RuntimeError("a permutation was built")
+
+        monkeypatch.setattr(trapezoid, "composite_permutation", no_permutation)
+        with pytest.raises(ValueError, match="the largest n exact area accepts"):
+            weighted_sum_identity(trapezoid.SLOPE_MAX_N + 1)
+
     def test_composite_area_matches_direct_sweep(self):
         n = 12  # 110 base 3: one 9-block, one 3-block, no 1-block
         lhs, rhs = weighted_sum_identity(n)
