@@ -12,14 +12,17 @@ and evaluates the slice measure exactly there.  n times the slice
 measure is the sum of the union's exposed right ends minus the sum of its
 exposed left ends.  Each end is covered on at most two open intervals per
 pair of strips, between heights p/q with q < 2n, so one sort of packed
-int64 start and stop keys per slab of strips gives every end's covered
-runs.  A run's edges step integer sums C and D, with n times the measure
-C + D*y between edges.  The measure is continuous, so at each edge height
-the summed jumps satisfy dC + dD*y = 0: the slope changes iff dD != 0, at
-y = -dC/dD.  The total at a kink y = p/q, over the denominator n*q, is
-q*C + p*D: the sweep returns the kinks and totals as int64 arrays, with
-no Fraction or Python int built per kink, no list of candidate heights
-and no per-height sort.
+start and stop keys per slab of strips gives every end's covered runs.
+The keys tag the slab's own ends, so they are int32 below n = 8,192
+(4,096 for an involution's half sweep, below); the pairs are int32 at
+every n, the height cuts up to n = 812 and the packed run edges up to
+n = 511, each int64 past that, and the results int64 at every n.  A run's edges
+step integer sums C and D, with n times the measure C + D*y between edges.
+The measure is continuous, so at each edge height the summed jumps
+satisfy dC + dD*y = 0: the slope changes iff dD != 0, at y = -dC/dD.  The
+total at a kink y = p/q, over the denominator n*q, is q*C + p*D: the sweep
+returns the kinks and totals as int64 arrays, with no Fraction or Python
+int built per kink, no list of candidate heights and no per-height sort.
 
 Every digit-swap and composite permutation is an involution,
 sigma(sigma(k)) = k, and then strip sigma(k) is strip k turned upside
@@ -101,15 +104,15 @@ def slice_at(spec: TrapezoidSpec, y: RationalLike) -> IntervalUnion:
     return IntervalUnion(lo, hi, spec.n * q)
 
 
-# pairs of strips per slab: about 128 kB per int64 temporary
+# pairs of strips per slab: about 64 kB per int32 temporary
 _SLAB_PAIRS = 16_384
 # run edges held before they are merged into the summed jumps: 2 MB
 _BATCH_EDGES = 1 << 18
-# row 0 of a slab's end keys is k + n*[j > k], row 1 is k + n*[j < k]
-_END_ROWS = np.array([[0], [1]])
-_END_FLIP = np.array([[1], [-1]])
+# row 0 of a slab's end tags is lane + lanes*[j > k], row 1 is lane + lanes*[j < k]
+_END_ROWS = np.array([[0], [1]], dtype=np.int32)
+_END_FLIP = np.array([[1], [-1]], dtype=np.int32)
 # the three heights (c - 1)/e, c/e and (c + 1)/e of a covering pair
-_CUT_ROWS = np.array([[-1], [0], [1]])
+_CUT_ROWS = np.array([[-1], [0], [1]], dtype=np.int32)
 
 
 def _packing(n: int) -> tuple[int, int]:
@@ -117,7 +120,9 @@ def _packing(n: int) -> tuple[int, int]:
 
     Heights are keyed in [0, 4n^2], below 2^shift, and the 4n end tags
     below 2^tag.  Refuses n where any int64 the sweep forms could overflow:
-    run keys stay below the sentinel 2n << shift and edge keys below
+    run keys stay at most their sentinel 2 * lanes << shift (``_dtypes``),
+    below 2^34 up to n = 16,384 and at most 4 << shift <= 2n << shift past
+    it, where a slab holds one row and its mirror, and edge keys below
     (4n^2 + 1) << tag.  The jumps of C and D summed at one height are at
     most n^2 in size (each of the 2n ends steps at most once there, by
     (k + 1, d_k) or (-k, -d_k)); the kink checks' p * 4n^2 and the
@@ -129,6 +134,23 @@ def _packing(n: int) -> tuple[int, int]:
     if max(2 * n << shift, width + 1 << tag, 8 * n**3) >= 2**63:
         raise AssertionError(f"n={n}: slice sweep would overflow int64")
     return shift, tag
+
+
+def _dtypes(n: int, lanes: int) -> tuple[type, type, type]:
+    """Dtypes of ``_edge_jumps``' run keys, height cuts and edge keys for n strips.
+
+    Each is int32 where its largest value is below 2^31, else int64.  With
+    ``lanes`` strips' ends tagged per slab (2*lanes tags), run keys are at
+    most the sentinel 2*lanes << shift: int32 below n = 8,192 for the full
+    sweep and 4,096 for the half, at the default slab size.  A cut
+    (c + 1) * 4n^2 / e has c < n, so it is at most 4n^3: int32 up to
+    n = 812.  Edge keys are below (4n^2 + 1) << tag: int32 up to n = 511.
+    The pairs' own values, |j - k| < n and |d_k - d_j| < 2n, are int32 for
+    every n that ``_packing`` admits.
+    """
+    shift, tag = _packing(n)
+    width = 4 * n * n
+    return tuple(np.int32 if top < 2**31 else np.int64 for top in (2 * lanes << shift, n * width, width + 1 << tag))
 
 
 def _edge_jumps(n: int, d: np.ndarray, half: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -150,39 +172,47 @@ def _edge_jumps(n: int, d: np.ndarray, half: bool = False) -> tuple[np.ndarray, 
     exact and strictly increasing on 0, 1 and every reduced p/q with
     q < 2n, which holds all the heights above.  Each end's covered runs
     come from sorting the starts and the stops of its intervals, packed
-    with the end into int64 keys: a run closes where the next start lies
-    past every stop before it.  A run starting at height h removes the
+    with a slab-local tag of the end into run keys: a run closes where the
+    next start lies past every stop before it.  A small table per slab maps
+    the tags back to the ends.  A run starting at height h removes the
     end's share, (k + 1, d_k) for R_k or (-k, -d_k) for L_k, from the
     integer sums C and D of every piece above h, and its stop restores it;
     n times the measure is C + D*y on each piece.  Below 0 every end counts
     as exposed, C = n and D = 0.
 
-    Returns the distinct keys of the run edges, sorted and always with 0
-    and 4n^2 (y = 0 and 1), and the summed jumps of C and D at each, as
-    int64 arrays.  Each end steps at most once at one height.
+    The pairs are int32 at every n; the run keys, the cuts and the packed
+    edge keys each take the narrowest dtype that ``_dtypes`` proves safe
+    for n, with every narrowed operation naming its dtype, so numpy's
+    promotion rules do not pick it.  Returns the distinct keys of the run
+    edges, sorted and always with 0 and 4n^2 (y = 0 and 1), and the summed
+    jumps of C and D at each, as int64 arrays.  Each end steps at most once
+    at one height.
 
     With ``half``, for an involution (sigma(sigma(k)) = k), only the band
     of heights below 1/2 is swept.  There L_k(1 - y) = L_sigma(k)(y), so
     the pair (sigma(k), sigma(j)) covers the same end of strip sigma(k) at
     1 - y as (k, j) covers of strip k at y.  The slabs take only the rows
     k <= sigma(k) and emit, beside each pair of a row k < sigma(k), its
-    mirror pair, so every end's intervals still land in one slab.  Pairs
-    whose intervals start at or above 1/2 (2|s| - 2 >= |e|) are dropped,
-    and so are run edges keyed at or above 2n^2, y = 1/2: the keys returned
-    start with 0 and all lie below 2n^2, with the full sweep's jumps at
-    each.  ``_kinks`` mirrors the rest.
+    mirror pair, so every end's intervals still land in one slab; the
+    slab's tags list its own rows, then their mirrors.  Pairs whose
+    intervals start at or above 1/2 (2|s| - 2 >= |e|) are dropped, and so
+    are run edges keyed at or above 2n^2, y = 1/2: the keys returned start
+    with 0 and all lie below 2n^2, with the full sweep's jumps at each.
+    ``_kinks`` mirrors the rest.
     """
     shift, tag = _packing(n)
     width = 4 * n * n
+    rows_per_slab = max(1, _SLAB_PAIRS // n)
+    run_type, cut_type, edge_type = _dtypes(n, 2 * rows_per_slab if half else rows_per_slab)
     # what a run's edge adds to the jumps: ends k and n + k are L_k and R_k,
-    # and tag 2n + i marks a run start on end i, which removes that end's share
+    # and end 2n + i marks a run start on end i, which removes that end's share
     strip = np.arange(n, dtype=np.int64)
     share_c = np.concatenate([-strip, strip + 1, strip, -1 - strip])
     share_d = np.concatenate([-d, d, d, -d])
     keys = np.array([0] if half else [0, width], dtype=np.int64)
     jump_c = np.zeros(keys.size, dtype=np.int64)
     jump_d = np.zeros(keys.size, dtype=np.int64)
-    # run starts and stops, packed as (height, end tag), held until there are
+    # run starts and stops, packed as (height, end), held until there are
     # _BATCH_EDGES of them or, if more, as many as keys so far, then merged
     # into the summed jumps
     pending: list[np.ndarray] = []
@@ -195,7 +225,7 @@ def _edge_jumps(n: int, d: np.ndarray, half: bool = False) -> tuple[np.ndarray, 
         end = edges & ((1 << tag) - 1)
         edges >>= tag
         # two sorted runs, which a stable sort merges in one pass
-        edges = np.concatenate((keys, edges))
+        edges = np.concatenate((keys, edges), dtype=np.int64)
         order = np.argsort(edges, kind="stable")
         edges = edges[order]
         first = np.empty(edges.size, dtype=bool)
@@ -207,21 +237,26 @@ def _edge_jumps(n: int, d: np.ndarray, half: bool = False) -> tuple[np.ndarray, 
         jump_d = np.add.reduceat(np.concatenate((jump_d, share_d[end]))[order], first)
 
     held = 0
+    index = np.arange(n, dtype=np.int32)
+    d = d.astype(np.int32)
+    image = index + d
     # an involution sweeps the rows k <= sigma(k), that is, d_k >= 0
-    swept = np.flatnonzero(d >= 0) if half else strip
-    rows_per_slab = max(1, _SLAB_PAIRS // n)
+    swept = np.flatnonzero(d >= 0).astype(np.int32) if half else index
     for k0 in range(0, swept.size, rows_per_slab):
-        rows = swept[k0 : k0 + rows_per_slab, None]
+        rows = swept[k0 : k0 + rows_per_slab]
         # s = j - k and e = d_k - d_j over the slab's rows k and every j: a
         # pair covers an end of k iff s*e >= s^2 off the diagonal, that is,
-        # e and s share a sign with |e| >= |s|
-        s = strip - rows
-        e = d[rows] - d
-        bar = s * s
-        bar[np.arange(rows.size), rows[:, 0]] = 1
-        keep = s * e >= bar
-        row = np.repeat(rows[:, 0], keep.sum(axis=1))
-        s, e = s[keep], e[keep]
+        # e and s share a sign with |e| >= |s|.  As s*e - s^2 equals
+        # s*(sigma(k) - sigma(j)), these are the inversions, one XOR
+        s = index - rows[:, None]
+        e = d[rows, None] - d
+        keep = (s >= 0) ^ (image >= image[rows, None])
+        lane = np.repeat(np.arange(rows.size, dtype=np.int32), keep.sum(axis=1))
+        # np.take, not boolean indexing: 3x faster here
+        keep = np.flatnonzero(keep)
+        s, e = s.take(keep), e.take(keep)
+        # the strip of each lane: the slab's rows, then on the half their mirrors
+        lanes = rows
         if half:
             # strip sigma(k)'s pairs are the mirrors (sigma(k), sigma(j)) of
             # strip k's, s - e and -e, covering the same ends of sigma(k) at
@@ -230,33 +265,36 @@ def _edge_jumps(n: int, d: np.ndarray, half: bool = False) -> tuple[np.ndarray, 
             # with c = |s|, and for the mirror, c' = |e| - c
             c, den = np.abs(s), np.abs(e)
             own = np.flatnonzero(2 * c - 2 < den)
-            mirror = np.flatnonzero((2 * c + 2 > den) & (d[row] > 0))
-            row = np.concatenate((row[own], row[mirror] + d[row[mirror]]))
-            s = np.concatenate((s[own], s[mirror] - e[mirror]))
-            e = np.concatenate((e[own], e[mirror]))
+            pick = np.concatenate((own, np.flatnonzero((2 * c + 2 > den) & (d[rows] > 0).take(lane))))
+            lane, s, e = lane.take(pick), s.take(pick), e.take(pick)
+            lane[own.size :] += rows.size
+            s[own.size :] -= e[own.size :]
+            lanes = np.concatenate((rows, image[rows]))
         if not s.size:
             continue
         e = np.abs(e)
         # the lower interval ((c - 1)/e, c/e), c = |s|, covers R_k when j > k
         # and L_k when j < k; the upper interval (c/e, (c + 1)/e) covers the
-        # other end of k.  Row 0 of ``ends`` keys the lower interval's end,
-        # row 1 the upper's; rows 0..2 of ``cut`` key the heights (c - 1)/e,
-        # c/e and (c + 1)/e, all in [0, 1]: |e| > c, as |e| = c would give
-        # strips k and j the same top
-        ends = (s > 0) * _END_FLIP + _END_ROWS
-        ends *= n
-        ends += row
+        # other end of k.  Row 0 of ``ends`` tags the lower interval's end,
+        # row 1 the upper's, as the lane for L and lanes.size plus the lane
+        # for R; rows 0..2 of ``cut`` key the heights (c - 1)/e, c/e and
+        # (c + 1)/e, all in [0, 1]: |e| > c, as |e| = c would give strips k
+        # and j the same top
+        ends = np.multiply(s > 0, _END_FLIP, dtype=run_type)
+        ends += _END_ROWS
+        ends *= lanes.size
+        ends += lane
         ends <<= shift
-        cut = np.abs(s) * width + _CUT_ROWS * width
+        cut = np.multiply(np.abs(s) + _CUT_ROWS, width, dtype=cut_type)
         cut //= e
         # starts and stops in one buffer each, with a sentinel on the far
         # side, so a run boundary is one comparison of neighbours
         size = 2 * s.size
-        starts = np.empty(size + 1, dtype=np.int64)
-        stops = np.empty(size + 1, dtype=np.int64)
-        np.add(ends, cut[:2], out=starts[:-1].reshape(2, -1))
-        np.add(ends, cut[1:], out=stops[1:].reshape(2, -1))
-        starts[-1], stops[0] = 2 * n << shift, -1
+        starts = np.empty(size + 1, dtype=run_type)
+        stops = np.empty(size + 1, dtype=run_type)
+        np.add(ends, cut[:2], out=starts[:-1].reshape(2, -1), dtype=run_type)
+        np.add(ends, cut[1:], out=stops[1:].reshape(2, -1), dtype=run_type)
+        starts[-1], stops[0] = 2 * lanes.size << shift, -1
         starts[:-1].sort()
         stops[1:].sort()
         # a run starts at starts[i] when every stop before it, the last
@@ -264,17 +302,19 @@ def _edge_jumps(n: int, d: np.ndarray, half: bool = False) -> tuple[np.ndarray, 
         # next such i'; the sentinels put 0 and ``size`` in ``cuts``
         cuts = np.flatnonzero(stops < starts)
         runs = cuts.size - 1
-        edges = np.empty(2 * runs, dtype=np.int64)
+        edges = np.empty(2 * runs, dtype=run_type)
         np.take(starts, cuts[:-1], out=edges[:runs])
         np.take(stops, cuts[1:], out=edges[runs:])
-        end = edges >> shift
+        # the global end of each tag: L_k is k, R_k is n + k
+        end = np.take(np.concatenate((lanes, lanes + n)), edges >> shift)
         end[:runs] += 2 * n
         edges &= (1 << shift) - 1
         if half:
             # every start lies below 1/2; the stops at or above it are the
             # mirror's
             below = edges < width // 2
-            edges, end = edges[below], end[below]
+            edges, end = edges.compress(below), end.compress(below)
+        edges = edges.astype(edge_type, copy=False)
         edges <<= tag
         edges |= end
         pending.append(edges)

@@ -19,6 +19,8 @@ GOLDEN_CASES = {
     "area_3_132.txt": (["area", "--n", "3", "--perm", "1,3,2"], 0),
     "area_3_132.json": (["area", "--n", "3", "--perm", "1,3,2", "--format", "json"], 0),
     "area_3_132.csv": (["area", "--n", "3", "--perm", "1,3,2", "--format", "csv"], 0),
+    # run keys in int32 with int64 cuts and edge keys
+    "area_1000_composite.csv": (["area", "--n", "1000", "--perm", "composite", "--format", "csv"], 0),
     "slice_3_132_half.txt": (["slice", "--n", "3", "--perm", "1,3,2", "--y", "1/2"], 0),
     "slice_3_132_half.json": (
         ["slice", "--n", "3", "--perm", "1,3,2", "--y", "1/2", "--format", "json"],

@@ -268,25 +268,29 @@ def assert_sweep_matches_reference(spec, sample=None):
     exactly the candidates where the reference's slope changes.  The
     candidates come from ``float_sorted_breakpoints``, the same heights as
     ``interior_heights_reference`` (``TestInteriorBreakpoints``) in a
-    fraction of the time.
+    fraction of the time.  Every comparison is cross-multiplied in Python
+    ints, with no Fraction built.
     """
     n = spec.n
     nums, dens, totals = sweep_lists(spec)
-    knots = [F(0), *(F(p, q) for p, q in zip(nums, dens)), F(1)]
-    levels = [F(1), *(F(t, n * q) for t, q in zip(totals, dens)), F(1)]
-    slopes = [(b - a) / (y - x) for x, y, a, b in zip(knots, knots[1:], levels, levels[1:])]
-    assert all(a != b for a, b in zip(slopes, slopes[1:]))
-    ys = [F(p, q) for p, q in zip(*float_sorted_breakpoints(n, trapezoid._displacements(spec)))]
-    assert set(knots[1:-1]) <= set(ys)
+    # the kinks p/q and the ends 0 and 1, with n*q times the measure there
+    ps, qs, ts = [0, *nums, 1], [1, *dens, 1], [n, *totals, n]
+    # the slope from kink i to kink i + 1 is rise[i] / (n * run[i]), run[i] > 0
+    rise = [t2 * q1 - t1 * q2 for q1, q2, t1, t2 in zip(qs, qs[1:], ts, ts[1:])]
+    run = [p2 * q1 - p1 * q2 for p1, p2, q1, q2 in zip(ps, ps[1:], qs, qs[1:])]
+    assert all(a * d != b * c for a, b, c, d in zip(rise, rise[1:], run, run[1:]))
+    ys = list(zip(*float_sorted_breakpoints(n, trapezoid._displacements(spec))))
+    assert set(zip(nums, dens)) <= set(ys)
     if sample is not None and len(ys) > sample:
-        ys = sorted(random.Random(n).sample(ys, sample))
-    want = slice_totals_integer_reference(spec, [y.numerator for y in ys], [y.denominator for y in ys])
-    # knots[i] is the first knot above y
-    i = 1
-    for y, t in zip(ys, want):
-        while knots[i] <= y:
+        ys = sorted(random.Random(n).sample(ys, sample), key=lambda y: F(*y))
+    want = slice_totals_integer_reference(spec, [p for p, _ in ys], [q for _, q in ys])
+    # kink i + 1 is the first kink above y = a/b; the measure interpolated
+    # there, times n * q_i * run[i] * b, against the reference's t / (n * b)
+    i = 0
+    for (a, b), t in zip(ys, want):
+        while ps[i + 1] * b <= a * qs[i + 1]:
             i += 1
-        assert levels[i - 1] + slopes[i - 1] * (y - knots[i - 1]) == F(t, n * y.denominator)
+        assert ts[i] * run[i] * b + rise[i] * (a * qs[i] - ps[i] * b) == t * qs[i] * run[i]
 
 
 class TestSliceTotals:
@@ -468,6 +472,38 @@ class TestSliceTotals:
         with pytest.raises(AssertionError, match="overflow int64"):
             trapezoid._edge_jumps(2**20, None)
 
+    def test_int32_bounds_at_each_switch(self):
+        # at the largest n that each narrow dtype admits, every value it holds
+        # is below 2^31, and one strip more takes int64
+        slab = trapezoid._SLAB_PAIRS
+        # run keys: a slab's start and stop keys lie below its sentinel
+        # 2 * lanes << shift; -1 is the stops' sentinel; heights below
+        # 2^shift and tags below 2 * lanes are shifted out of them
+        for n, mirrors in ((8191, 1), (4095, 2)):
+            lanes = max(1, slab // n) * mirrors
+            shift, _ = trapezoid._packing(n)
+            largest = [2 * lanes << shift, (2 * lanes - 1 << shift) + 4 * n * n, 2 * lanes, 2**shift - 1]
+            assert max(largest) < 2**31
+            assert trapezoid._dtypes(n, lanes)[0] is np.int32
+            assert trapezoid._dtypes(n + 1, max(1, slab // (n + 1)) * mirrors)[0] is np.int64
+        # cuts: (c + 1) * 4n^2 with c = |j - k| <= n - 1, before the division
+        n = 812
+        assert n * 4 * n * n < 2**31
+        assert trapezoid._dtypes(n, 1)[1] is np.int32 and trapezoid._dtypes(n + 1, 1)[1] is np.int64
+        # edge keys: a height in [0, 4n^2] over a tag below 4n, and the
+        # global ends themselves (2n + end for a start)
+        n = 511
+        _, tag = trapezoid._packing(n)
+        assert 4 * n <= 2**tag
+        largest = [4 * n * n << tag | 4 * n - 1, 4 * n - 1]
+        assert max(largest) < 2**31
+        assert trapezoid._dtypes(n, 1)[2] is np.int32 and trapezoid._dtypes(n + 1, 1)[2] is np.int64
+        # the pairs, int32 at every n that _packing admits: |s| < n, |e| < 2n,
+        # 2|s| + 2 and the image j + d_j
+        n = 741_455
+        trapezoid._packing(n)
+        assert max(n - 1, 2 * n - 2, 2 * (n - 1) + 2, n - 1) < 2**31
+
 
 def random_involution(rng, n):
     image = list(range(1, n + 1))
@@ -585,6 +621,65 @@ class TestMirroredTotals:
         specs += [TrapezoidSpec(n, composite_permutation(n)) for n in range(1, 101)]
         for spec in specs:
             assert_sweep_matches_reference(spec)
+
+
+class TestNarrowKeys:
+    """``_edge_jumps`` keeps its run keys, cuts and edge keys in int32 where
+    ``_dtypes`` bounds them below 2^31 for n, and in int64 past that, with
+    the same int64 outputs either way."""
+
+    @staticmethod
+    def recorded(monkeypatch):
+        picked = []
+        dtypes = trapezoid._dtypes
+
+        def record(n, lanes):
+            picked.append(dtypes(n, lanes))
+            return picked[-1]
+
+        monkeypatch.setattr(trapezoid, "_dtypes", record)
+        return picked
+
+    @pytest.mark.parametrize(
+        "n, want",
+        [
+            (511, (np.int32, np.int32, np.int32)),
+            (512, (np.int32, np.int32, np.int64)),
+            (812, (np.int32, np.int32, np.int64)),
+            (813, (np.int32, np.int64, np.int64)),
+        ],
+    )
+    def test_switch_points(self, monkeypatch, n, want):
+        # the edge keys' switch (n = 511/512) and the cuts' (812/813), each
+        # side swept for a random permutation and an involution
+        picked = self.recorded(monkeypatch)
+        rng = random.Random(n)
+        image = list(range(1, n + 1))
+        rng.shuffle(image)
+        for spec in (spec_of(image), TrapezoidSpec(n, random_involution(rng, n))):
+            assert_sweep_matches_reference(spec, sample=400)
+            assert abs(area_oracle(spec, 4000) - float(area.__wrapped__(spec))) <= 1e-5
+        assert picked == [want] * 4
+
+    @pytest.mark.parametrize("n", [63, 64])
+    def test_run_key_switch(self, monkeypatch, n):
+        # the run keys' switch, moved from n = 8,192 (4,096 on the half) down
+        # to 63/64 by larger slabs: 2 * lanes << shift reaches 2^31 at n = 64,
+        # where the shift grows by one.  Both slab sizes hold all n rows
+        picked = self.recorded(monkeypatch)
+        want = (np.int32 if n == 63 else np.int64, np.int32, np.int32)
+        rng = random.Random(n)
+        image = list(range(1, n + 1))
+        rng.shuffle(image)
+        specs = {1 << 21: spec_of(image), 1 << 20: TrapezoidSpec(n, random_involution(rng, n))}
+        whole = {pairs: sweep_lists(spec) for pairs, spec in specs.items()}
+        assert picked == [(np.int32, np.int32, np.int32)] * 2
+        for pairs, spec in specs.items():
+            picked.clear()
+            monkeypatch.setattr(trapezoid, "_SLAB_PAIRS", pairs)
+            assert sweep_lists(spec) == whole[pairs]
+            assert_sweep_matches_reference(spec)
+            assert picked == [want] * 2
 
 
 class TestSlopeIntegration:
