@@ -121,8 +121,8 @@ def _packing(n: int) -> tuple[int, int]:
     Heights are keyed in [0, 4n^2], below 2^shift, and the 4n end tags
     below 2^tag.  Refuses n where any int64 the sweep forms could overflow:
     run keys stay at most their sentinel 2 * lanes << shift (``_dtypes``),
-    below 2^34 up to n = 16,384 and at most 4 << shift <= 2n << shift past
-    it, where a slab holds one row and its mirror, and edge keys below
+    which is below 2^34 up to n = 16,384 and at most 4 << shift <= 2n << shift
+    past it, where a slab holds one row and its mirror; edge keys stay below
     (4n^2 + 1) << tag.  The jumps of C and D summed at one height are at
     most n^2 in size (each of the 2n ends steps at most once there, by
     (k + 1, d_k) or (-k, -d_k)); the kink checks' p * 4n^2 and the

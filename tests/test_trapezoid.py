@@ -502,6 +502,8 @@ class TestSliceTotals:
         # 2|s| + 2 and the image j + d_j
         n = 741_455
         trapezoid._packing(n)
+        with pytest.raises(AssertionError, match="overflow int64"):
+            trapezoid._packing(n + 1)
         assert max(n - 1, 2 * n - 2, 2 * (n - 1) + 2, n - 1) < 2**31
 
 
