@@ -38,8 +38,8 @@ from .exact import measure
 from .permutations import (
     MAX_DIGIT_SWAP_ORDER,
     Permutation,
+    composite_blocks,
     composite_permutation,
-    composite_plan,
     digit_swap_permutation,
     identity,
     reversal,
@@ -277,9 +277,9 @@ def _cmd_sigma3(args) -> _Output:
 
 
 def _cmd_sigma_n(args) -> _Output:
-    plan = composite_plan(args.n)
+    blocks = composite_blocks(args.n)
     lhs, rhs = trap_mod.weighted_sum_identity(args.n)
-    digits = "".join(str(d) for d in plan.digits)
+    digits = "".join(str(x) for _, x in blocks)
     return _Output(
         header=["n", "digits_base3", "lhs_num", "lhs_den", "rhs_num", "rhs_den", "equal"],
         rows=[
@@ -296,7 +296,7 @@ def _cmd_sigma_n(args) -> _Output:
         payload={
             "n": args.n,
             "digits_base3": digits,
-            "blocks": [{"size": size, "count": count} for size, count in plan.blocks],
+            "blocks": [{"size": 3**j, "count": x} for j, x in blocks],
             "perm": str(composite_permutation(args.n)),
             "lhs": str(lhs),
             "rhs": str(rhs),

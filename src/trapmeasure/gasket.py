@@ -227,25 +227,23 @@ def favard(spec: GasketSpec, quad_points: int) -> float:
 
     Uniform midpoint grid over [0, pi); the gasket's symmetry under
     swapping coordinates pairs midpoints theta and pi/2 - theta (mod pi),
-    halving the evaluations for even grids.  Summation order is fixed by
-    grid index, so the result is deterministic.  The depth cap keeps
-    every direction below the exact sum's 2^13 parts.
+    halving the evaluations for even grids.  ``math.fsum`` rounds
+    correctly in any order, so the result is deterministic.  The depth
+    cap keeps every direction below the exact sum's 2^13 parts.
     """
     if quad_points < 16:
         raise ValueError(f"need at least 16 quadrature points, got {quad_points}")
     anchors = _anchor_columns(spec.depth)
     step = math.pi / quad_points
-    multiplicity: dict[int, int] = {}
-    for i in range(quad_points):
-        if quad_points % 2 == 0:
-            partner = (quad_points // 2 - 1 - i) % quad_points
-            rep = min(i, partner)
-        else:
-            rep = i
-        multiplicity[rep] = multiplicity.get(rep, 0) + 1
+    # midpoint i pairs with its mirror j; a pair is evaluated once at its
+    # lesser index and weighted 2, a fixed point (i == j) weighted 1
+    pairs = (
+        (i, (quad_points // 2 - 1 - i) % quad_points if quad_points % 2 == 0 else i) for i in range(quad_points)
+    )
     total = math.fsum(
-        _numeric_measure(anchors, spec.depth, (rep + 0.5) * step) * count
-        for rep, count in sorted(multiplicity.items())
+        _numeric_measure(anchors, spec.depth, (i + 0.5) * step) * (2 if i < j else 1)
+        for i, j in pairs
+        if i <= j
     )
     return total / quad_points
 

@@ -94,37 +94,18 @@ def digit_swap_permutation(m: int) -> Permutation:
     return Permutation(tuple(v + 1 for v in image))
 
 
-@dataclass(frozen=True)
-class CompositePlan:
-    """Base-3 block layout behind the composite permutation of {1..n}.
+def composite_blocks(n: int) -> tuple[tuple[int, int], ...]:
+    """The base-3 digits of n as pairs (j, x_j), n = sum of x_j * 3^j.
 
-    ``digits`` are the base-3 digits of n, most significant first;
-    ``blocks`` lists (size 3^j, count x_j) largest-size first, including
-    zero-count digits as zero-count entries.
+    Largest power first, zero digits included, so the first digit is
+    never zero.
     """
-
-    n: int
-    digits: tuple[int, ...]
-    blocks: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if sum(count * size for size, count in self.blocks) != self.n:
-            raise ValueError("block sizes do not add up to n")
-        if any(d not in (0, 1, 2) for d in self.digits):
-            raise ValueError(f"invalid base-3 digits {self.digits}")
-
-
-def composite_plan(n: int) -> CompositePlan:
     _require_positive(n)
     digits = []
-    z = n
-    while z:
-        z, r = divmod(z, 3)
-        digits.append(r)
-    digits.reverse()
-    top = len(digits) - 1
-    blocks = tuple((3 ** (top - pos), x) for pos, x in enumerate(digits))
-    return CompositePlan(n=n, digits=tuple(digits), blocks=blocks)
+    while n:
+        n, x = divmod(n, 3)
+        digits.append(x)
+    return tuple(enumerate(digits))[::-1]
 
 
 def composite_permutation(n: int) -> Permutation:
@@ -133,17 +114,12 @@ def composite_permutation(n: int) -> Permutation:
     For each digit x_j (largest power first) it lays down x_j consecutive
     blocks of size 3^j, each an offset copy of digit_swap_permutation(j).
     """
-    plan = composite_plan(n)
     image: list[int] = []
-    offset = 0
-    order = len(plan.digits) - 1
-    for size, count in plan.blocks:
-        if count:
-            block = digit_swap_permutation(order).image
-            for _ in range(count):
-                image.extend(offset + v for v in block)
-                offset += size
-        order -= 1
+    for j, x in composite_blocks(n):
+        if x:
+            block = digit_swap_permutation(j).image
+            offset = len(image)
+            image += [offset + k * 3**j + v for k in range(x) for v in block]
     return Permutation(tuple(image))
 
 

@@ -46,7 +46,7 @@ from .permutations import (
     permutation_at_rank,
     reversal,
 )
-from .trapezoid import TrapezoidSpec, area, farey_grid
+from .trapezoid import FareyGrid, TrapezoidSpec, area, farey_grid
 
 # n! beyond this is not desk-scale; an explicit override is required.
 EXHAUSTIVE_GUARD = 10
@@ -178,6 +178,14 @@ def _kept_batches(n: int, start: int, stop: int, use_symmetry: bool, rows: int) 
         yield np.concatenate(pending)
 
 
+def _checked_area(n: int, grid: FareyGrid, num: int, image: tuple[int, ...]) -> Fraction:
+    """The grid numerator ``num`` of ``image`` as an area, checked against the exact sweep."""
+    value = Fraction(num, grid.denominator)
+    if value != area(TrapezoidSpec(n, Permutation(image))):
+        raise AssertionError(f"grid kernel disagrees with the exact sweep at {image}")
+    return value
+
+
 def _range_champion(
     args: tuple[int, int, int, bool],
 ) -> tuple[Fraction | None, tuple[int, ...] | None, int]:
@@ -188,22 +196,18 @@ def _range_champion(
     """
     n, start, stop, use_symmetry = args
     grid = farey_grid(n)
-    best_num: int | None = None
-    best_image: tuple[int, ...] | None = None
+    champions: list[tuple[int, tuple[int, ...]]] = []
     evaluated = 0
     for rows in _kept_batches(n, start, stop, use_symmetry, _KERNEL_ROWS):
         evaluated += len(rows)
         nums = grid.area_numerators(rows)
         # rows are in rank order, so the first minimum is the least image
         i = int(nums.argmin())
-        if best_num is None or nums[i] < best_num:
-            best_num, best_image = int(nums[i]), tuple(rows[i].tolist())
-    if best_image is None:
+        champions.append((int(nums[i]), tuple(rows[i].tolist())))
+    if not champions:
         return None, None, 0
-    value = Fraction(best_num, grid.denominator)
-    if value != area(TrapezoidSpec(n, Permutation(best_image))):
-        raise AssertionError(f"grid kernel disagrees with the exact sweep at {best_image}")
-    return value, best_image, evaluated
+    num, image = min(champions)
+    return _checked_area(n, grid, num, image), image, evaluated
 
 
 def alpha_exhaustive(
@@ -249,21 +253,13 @@ def alpha_exhaustive(
         ]
         with ProcessPoolExecutor(max_workers=worker_count) as pool:
             results = list(pool.map(_range_champion, jobs))
-    best_area: Fraction | None = None
-    best_image: tuple[int, ...] | None = None
-    evaluated = 0
-    for part_area, part_image, part_count in results:
-        evaluated += part_count
-        if part_area is None:
-            continue
-        if best_area is None or (part_area, part_image) < (best_area, best_image):
-            best_area, best_image = part_area, part_image
+    alpha, argmin = min((value, image) for value, image, _ in results if value is not None)
     return AlphaRecord(
         n=n,
-        alpha=best_area,
-        argmin=Permutation(best_image),
+        alpha=alpha,
+        argmin=Permutation(argmin),
         mode="exhaustive",
-        perms_evaluated=evaluated,
+        perms_evaluated=sum(count for _, _, count in results),
     )
 
 
@@ -333,46 +329,36 @@ def alpha_heuristic(n: int, budget: int, seed: int) -> AlphaRecord:
         return scored[image]
 
     score(seeds)
-    best_image = min(seeds, key=lambda img: (evaluate(img), img))
-    best_area = scored[best_image]
-    space = math.factorial(n) if n <= 12 else None
-
-    current, current_area = best_image, best_area
-    while attempts < budget:
-        if space is not None and len(evaluated) >= space:
-            break
+    # candidates are (value, image) pairs, so ties go to the least image
+    best = current = min((evaluate(image), image) for image in seeds)
+    space = math.factorial(n)
+    while attempts < budget and len(evaluated) < space:
         # the neighbours this scan may reach before the budget runs out;
         # on the grid they are all scored in one call, then replayed in order
-        scan = _adjacent_swaps(current, min(n - 1, budget - attempts))
+        scan = _adjacent_swaps(current[1], min(n - 1, budget - attempts))
         if grid is not None:
             score(scan)
-        improved = False
         for neighbor in scan:
-            value = evaluate(neighbor)
-            if (value, neighbor) < (current_area, current):
-                current, current_area = neighbor, value
-                improved = True
+            candidate = (evaluate(neighbor), neighbor)
+            if candidate < current:
+                current = candidate
                 break
-        if (current_area, current) < (best_area, best_image):
-            best_area, best_image = current_area, current
-        if not improved and attempts < budget:
+        else:
+            if attempts >= budget:
+                break
             restart = list(range(1, n + 1))
             rng.shuffle(restart)
-            current = tuple(restart)
+            image = tuple(restart)
             if grid is not None:
                 # the restart shares one grid call with its first scan
-                score([current, *_adjacent_swaps(current, min(n - 1, budget - attempts - 1))])
-            current_area = evaluate(current)
-            if (current_area, current) < (best_area, best_image):
-                best_area, best_image = current_area, current
-    if grid is not None:
-        best_area = Fraction(best_area, grid.denominator)
-        if best_area != area(TrapezoidSpec(n, Permutation(best_image))):
-            raise AssertionError(f"grid kernel disagrees with the exact sweep at {best_image}")
+                score([image, *_adjacent_swaps(image, min(n - 1, budget - attempts - 1))])
+            current = (evaluate(image), image)
+        best = min(best, current)
+    value, image = best
     return AlphaRecord(
         n=n,
-        alpha=best_area,
-        argmin=Permutation(best_image),
+        alpha=value if grid is None else _checked_area(n, grid, value, image),
+        argmin=Permutation(image),
         mode="heuristic",
         perms_evaluated=len(evaluated),
     )

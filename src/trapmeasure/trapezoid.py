@@ -65,7 +65,7 @@ from .exact import (
     as_rational,
     merge_ints,
 )
-from .permutations import Permutation, composite_plan, composite_permutation, digit_swap_permutation
+from .permutations import Permutation, composite_blocks, composite_permutation, digit_swap_permutation
 
 
 @dataclass(frozen=True)
@@ -704,12 +704,8 @@ def weighted_sum_identity(n: int) -> tuple[Rational, Rational]:
     """
     check_area_n(n)
     lhs = area(TrapezoidSpec(n, composite_permutation(n)))
-    plan = composite_plan(n)
-    top = len(plan.digits) - 1
-    rhs = Fraction(0)
-    for pos, x in enumerate(plan.digits):
-        j = top - pos
-        if x:
-            block_area = area(TrapezoidSpec(3**j, digit_swap_permutation(j)))
-            rhs += x * 3**j * block_area
+    rhs = sum(
+        (x * 3**j * area(TrapezoidSpec(3**j, digit_swap_permutation(j))) for j, x in composite_blocks(n) if x),
+        Fraction(0),
+    )
     return lhs, rhs / n

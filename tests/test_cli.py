@@ -28,6 +28,8 @@ GOLDEN_CASES = {
     ),
     "alpha_2.json": (["alpha", "--n", "2", "--workers", "1"], 0),
     "alpha_3.csv": (["alpha", "--n", "3", "--workers", "1", "--format", "csv"], 0),
+    # the benchmark's heuristic size
+    "alpha_24_heuristic.json": (["alpha", "--n", "24", "--heuristic", "--budget", "500", "--seed", "1"], 0),
     "alpha_scan_4.csv": (["alpha-scan", "--max-n", "4", "--workers", "1"], 0),
     "alpha_scan_5.json": (
         [
@@ -50,6 +52,8 @@ GOLDEN_CASES = {
     "sigma3_3.csv": (["sigma3", "--max-m", "3"], 0),
     "sigma3_3.json": (["sigma3", "--max-m", "3", "--format", "json"], 0),
     "sigma_n_4.json": (["sigma-n", "--n", "4"], 0),
+    # zero-count blocks in the payload
+    "sigma_n_1000.json": (["sigma-n", "--n", "1000"], 0),
     "sigma_n_10.csv": (["sigma-n", "--n", "10", "--format", "csv"], 0),
     "cantor_half_d6.txt": (["cantor", "--t", "1/2", "--depth", "6"], 0),
     "cantor_half_d6.csv": (["cantor", "--t", "1/2", "--depth", "6", "--format", "csv"], 0),

@@ -301,7 +301,8 @@ class TestExactSum:
 
 class TestMeasureOnlyPaths:
     @pytest.mark.parametrize("depth", range(9))
-    @pytest.mark.parametrize("quad_points", [64, 49])
+    # 50 has N/2 odd, so two midpoints are their own mirrors
+    @pytest.mark.parametrize("quad_points", [64, 49, 50])
     def test_favard_equals_projection_reference_bit_for_bit(self, depth, quad_points):
         assert favard(GasketSpec(depth), quad_points) == _favard_reference(depth, quad_points)
 

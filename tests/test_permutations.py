@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from trapmeasure.permutations import (
-    CompositePlan,
     Permutation,
     canonical_class,
+    composite_blocks,
     composite_permutation,
-    composite_plan,
     digit_swap_permutation,
     identity,
     iter_permutations,
@@ -88,23 +87,24 @@ class TestNamedFamilies:
         n = 3**m
         assert all(p(p(j)) == j for j in range(1, n + 1))
 
-    def test_composite_plan_digits(self):
-        plan = composite_plan(4)
-        assert plan.digits == (1, 1)
-        assert plan.blocks == ((3, 1), (1, 1))
-        plan = composite_plan(1000)
-        assert plan.digits == (1, 1, 0, 1, 0, 0, 1)
+    def test_composite_blocks_digits(self):
+        assert composite_blocks(4) == ((1, 1), (0, 1))
+        assert "".join(str(x) for _, x in composite_blocks(1000)) == "1101001"
 
-    def test_composite_plan_rejects_inconsistent_blocks(self):
-        with pytest.raises(ValueError):
-            CompositePlan(n=4, digits=(1, 1), blocks=((3, 1),))
+    def test_composite_blocks_are_base3_digits(self):
+        for n in range(1, 3**7 + 1):
+            blocks = composite_blocks(n)
+            assert sum(x * 3**j for j, x in blocks) == n
+            assert [j for j, _ in blocks] == list(range(len(blocks) - 1, -1, -1))
+            assert all(x in (0, 1, 2) for _, x in blocks)
+            assert blocks[0][1] != 0
 
     def test_composite_examples(self):
         assert composite_permutation(4).image == (1, 3, 2, 4)
         assert composite_permutation(3).image == (1, 3, 2)
         assert composite_permutation(2).image == (1, 2)
 
-    @pytest.mark.parametrize("m", range(0, 6))
+    @pytest.mark.parametrize("m", range(0, 8))
     def test_composite_at_power_of_three_is_digit_swap(self, m):
         assert composite_permutation(3**m) == digit_swap_permutation(m)
 
