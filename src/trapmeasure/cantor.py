@@ -53,17 +53,6 @@ class DigitSetSpec:
                 raise ValueError(f"digit {d} outside [0, 2]")
 
 
-def anchor_points(spec: DigitSetSpec) -> tuple[Rational, ...]:
-    """All depth-n digit sums, sorted, duplicates collapsed."""
-    q = math.lcm(*(d.denominator for d in spec.digits))
-    digit_ints = sorted({int(d * q) for d in spec.digits})
-    anchors = {0}
-    for k in range(1, spec.depth + 1):
-        weight = 3 ** (spec.depth - k)
-        anchors = {a + d * weight for a in anchors for d in digit_ints}
-    return tuple(Fraction(a, q * 3**spec.depth) for a in sorted(anchors))
-
-
 def partial_cantor(spec: DigitSetSpec) -> IntervalUnion:
     """Union of [x, x + 3^-depth] over all anchors, canonical.
 

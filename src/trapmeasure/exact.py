@@ -237,26 +237,6 @@ class PiecewiseLinearProfile:
     def __repr__(self) -> str:
         return f"PiecewiseLinearProfile({self.breakpoints!r})"
 
-    def value_at(self, y: RationalLike) -> Rational:
-        """Exact value at y by linear interpolation between breakpoints."""
-        y = as_rational(y)
-        if not 0 <= y <= 1:
-            raise ValueError(f"profile argument {y} outside [0, 1]")
-        pts = self.breakpoints
-        lo, hi = 0, len(pts) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if pts[mid][0] <= y:
-                lo = mid
-            else:
-                hi = mid
-        (y0, v0), (y1, v1) = pts[lo], pts[hi]
-        if y == y0:
-            return v0
-        if y == y1:
-            return v1
-        return v0 + (v1 - v0) * (y - y0) / (y1 - y0)
-
 
 def integrate_plp(profile: PiecewiseLinearProfile) -> Rational:
     """Exact integral over [0, 1] of a piecewise-linear profile.

@@ -15,8 +15,8 @@ endpoints are doubles merged with a depth-scaled tolerance.  In angle
 mode every triangle's interval is its projected anchor plus one fixed
 offset pair, so a single sort of the anchors orders both endpoint arrays
 and the parts are cut wherever a gap exceeds the tolerance, with no
-per-triangle loop; the anchor columns of each depth are built once and
-cached read-only.  Every measure in angle mode (``project``'s, and the
+per-triangle loop; the anchor columns of each depth are built per call.
+Every measure in angle mode (``project``'s, and the
 only thing ``favard`` and ``lemma1_check`` read) comes straight from the
 endpoint arrays: ``_exact_sum`` splits every part length exactly into
 three columns, multiples of 2^-20, 2^-45 and 2^-72, whose numpy sums are
@@ -34,7 +34,6 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -92,33 +91,17 @@ class Direction:
         return cls(angle=float(angle))
 
 
-def gasket_anchors(spec: GasketSpec) -> tuple[tuple[Rational, Rational], ...]:
-    """Lower-left corners of all generation-depth triangles.
-
-    Emitted in digit-enumeration order, (0,0) branch first, so the output
-    is deterministic; all 3^depth anchors are distinct.
-    """
-    anchors = [(0, 0)]
-    for k in range(1, spec.depth + 1):
-        weight = 3 ** (spec.depth - k)
-        anchors = [(x + vx * weight, y + vy * weight) for x, y in anchors for vx, vy in _DIGIT_VECTORS]
-    scale = 3**spec.depth
-    return tuple((Fraction(x, scale), Fraction(y, scale)) for x, y in anchors)
-
-
-@lru_cache(maxsize=GASKET_DEPTH_CAP + 1)
 def _anchor_columns(depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Anchor x and y as two contiguous float columns, in digit-enumeration order.
+    """Lower-left corners of all 3^depth triangles, as two contiguous float columns.
 
-    Cached per depth and shared by every caller, so both are read-only.
+    In digit-enumeration order, (0,0) branch first, so the output is
+    deterministic; all 3^depth anchors are distinct.
     """
     xs, ys = np.zeros(1), np.zeros(1)
     vx, vy = np.array(_DIGIT_VECTORS, dtype=np.float64).T
     for k in range(1, depth + 1):
         xs = (xs[:, None] + vx / 3.0**k).reshape(-1)
         ys = (ys[:, None] + vy / 3.0**k).reshape(-1)
-    xs.flags.writeable = False
-    ys.flags.writeable = False
     return xs, ys
 
 

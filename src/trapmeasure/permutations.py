@@ -50,17 +50,6 @@ class Permutation:
             raise ValueError(f"cannot parse permutation from {text!r}") from None
         return cls(image)
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.image)
-        for j, k in enumerate(self.image, start=1):
-            inv[k - 1] = j
-        return Permutation(tuple(inv))
-
-    def mirrored(self) -> "Permutation":
-        """Conjugate by the reversal r: j -> n+1-j (horizontal mirror)."""
-        n = len(self.image)
-        return Permutation(tuple(n + 1 - self.image[n - i] for i in range(1, n + 1)))
-
 
 def identity(n: int) -> Permutation:
     _require_positive(n)

@@ -7,7 +7,7 @@ the emitted coordinates stay in plain unit-square-times-1000 form.
 
 from __future__ import annotations
 
-from .gasket import GasketSpec, gasket_anchors
+from .gasket import GasketSpec, _anchor_columns
 from .trapezoid import TrapezoidSpec
 
 _HEADER = (
@@ -50,11 +50,11 @@ def trapezoid_svg(spec: TrapezoidSpec) -> str:
 
 
 def gasket_svg(spec: GasketSpec) -> str:
-    """One triangle per generation-depth anchor, in anchor order."""
+    """One triangle per generation-depth anchor, from the float anchor columns, in order."""
     side = 1000.0 / 3**spec.depth
+    xs, ys = _anchor_columns(spec.depth)
     pieces = [_HEADER]
-    for ax, ay in gasket_anchors(spec):
-        x, y = float(ax) * 1000.0, float(ay) * 1000.0
+    for x, y in zip((xs * 1000.0).tolist(), (ys * 1000.0).tolist()):
         pieces.append(_polygon([(x, y), (x + side, y), (x, y + side)]))
     pieces.append(_FOOTER)
     return "".join(pieces)

@@ -526,9 +526,9 @@ def _scratch(size: int) -> np.ndarray:
     """The first ``size`` bytes of one process-wide buffer that only grows.
 
     ``FareyGrid`` calls reuse it, whatever their n: past a few hundred kB,
-    buffers allocated per call go back to the system in between and every
-    call faults them in again, and one buffer per cached grid would keep
-    each grid's largest call resident.
+    buffers allocated per call go back to the system and fault in again
+    (``alpha_exhaustive(8)`` went from about 8 to 12 ms on 2 vCPUs), and
+    one buffer per cached grid would keep each grid's largest call resident.
     """
     global _scratch_buffer
     if len(_scratch_buffer) < size:

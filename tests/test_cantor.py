@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from trapmeasure.cantor import (
     DEPTH_CAP,
     DigitSetSpec,
-    anchor_points,
     cantor_measure_closed,
     partial_cantor,
     slice_measure_closed,
@@ -15,6 +14,8 @@ from trapmeasure.cantor import (
 from trapmeasure.exact import Interval, measure, normalize
 from trapmeasure.permutations import digit_swap_permutation
 from trapmeasure.trapezoid import TrapezoidSpec, slice_at
+
+from reference import anchor_points
 
 F = Fraction
 

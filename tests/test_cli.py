@@ -69,6 +69,8 @@ GOLDEN_CASES = {
     "verify_weighted_sum_4.csv": (["verify", "weighted-sum", "--n", "4"], 0),
     "render_trapezoid_3.svg": (["render", "trapezoid", "--n", "3", "--perm", "1,3,2"], 0),
     "render_gasket_1.svg": (["render", "gasket", "--depth", "1"], 0),
+    # 81 triangles drawn from the anchors' float columns
+    "render_gasket_4.svg": (["render", "gasket", "--depth", "4"], 0),
     # every remaining command x format pair, and the stderr summaries
     "slice_3_132_half.csv": (
         ["slice", "--n", "3", "--perm", "1,3,2", "--y", "1/2", "--format", "csv"],

